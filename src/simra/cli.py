@@ -99,8 +99,7 @@ def _cmd_enumerate(args) -> int:
     target, approx = model.load_target(doc)
     x_max = Fraction(args.xmax)
     seq = minpoints.enumerate_minimal_points(target, approx, x_max,
-                                             cap=args.cap,
-                                             threads=max(1, args.threads))
+                                             cap=args.cap)
     os.makedirs(args.out, exist_ok=True)
     buf = io.StringIO()
     minpoints.write_csv(seq, buf)
@@ -396,8 +395,6 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--out", required=True, help="run directory to create")
     e.add_argument("--cap", type=int, default=minpoints.DEFAULT_ENUM_CAP,
                    help="tie-resolution precision cap in bits")
-    e.add_argument("--threads", type=int, default=1,
-                   help="scan-phase worker threads (same output for any value)")
     e.set_defaults(func=_cmd_enumerate)
 
     x = sub.add_parser("exponents", help="estimate the exponent pair from a run")

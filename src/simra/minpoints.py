@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -305,15 +303,15 @@ def _x0_allowed(approx: ApproxSet, x0: int) -> bool:
     return True
 
 
-def _scan_candidates(target: TargetPoint, approx: ApproxSet, norm_sq_max: int,
-                     bits: int = _BASE_BITS, x0_lo: int = 1,
-                     x0_hi: Optional[int] = None) -> Iterable[tuple[int, ...]]:
-    """Pinned candidates for every x_0: per coordinate, the integers whose
-    distance to (xi_k/xi_0) x_0 can be < 1/2 (floor/ceil, nearest allowed)."""
+def _scan_candidates(target: TargetPoint, approx: ApproxSet,
+                     norm_sq_max: int) -> Iterable[tuple[int, ...]]:
+    """Pinned candidates for x_0 = 1, 2, ... in order: per coordinate, the
+    integers whose distance to (xi_k/xi_0) x_0 can be < 1/2 (floor/ceil,
+    nearest allowed)."""
     n = target.n
+    bits = _BASE_BITS
     rsnap = target.ratio_snapshot(bits)
-    x0_max = isqrt(norm_sq_max) if x0_hi is None else x0_hi
-    for x0 in range(x0_lo, x0_max + 1):
+    for x0 in range(1, isqrt(norm_sq_max) + 1):
         if not _x0_allowed(approx, x0):
             continue
         axes = []
@@ -338,19 +336,22 @@ def _scan_candidates(target: TargetPoint, approx: ApproxSet, norm_sq_max: int,
 # ---------------------------------------------------------------------------
 # the record sweep
 
-def _sweep(candidates: Iterable[tuple[int, ...]], comparator: _Comparator,
-           target: TargetPoint, cap: int) -> list[MinimalPointEntry]:
-    pts = sorted(set(candidates), key=lambda c: (sum(v * v for v in c), c))
-    entries: list[MinimalPointEntry] = []
-    rec_keys = None
-    i = 0
-    while i < len(pts):
-        ns = sum(v * v for v in pts[i])
-        j = i
+def _sweep_below(heap: list, limit, entries: list[MinimalPointEntry],
+                 comparator: _Comparator) -> None:
+    """Pop every (norm_sq, coords) group with norm_sq < limit off the heap,
+    appending each group's best point when it beats the record entries[-1].
+
+    Groups pop in (norm, coordinates) order, so ties in L within a group go
+    to the lexicographically first point.  The caller guarantees that every
+    group below limit is complete.
+    """
+    target = comparator.target
+    while heap and heap[0][0] < limit:
+        ns = heap[0][0]
+        rec_keys = entries[-1].branch_keys if entries else None
         best = None  # (coords, keys)
-        while j < len(pts) and sum(v * v for v in pts[j]) == ns:
-            coords = pts[j]
-            j += 1
+        while heap and heap[0][0] == ns:
+            coords = heapq.heappop(heap)[1]
             keys = comparator.keys(coords)
             if rec_keys is not None and comparator.compare(
                     keys, rec_keys, coords, "the current record") >= 0:
@@ -365,11 +366,17 @@ def _sweep(candidates: Iterable[tuple[int, ...]], comparator: _Comparator,
                 point=point,
                 norm_sq=ns,
                 x_value=rigorous.sqrt(ns),
-                l_value=model.l_value(target, point, cap),
+                l_value=model.l_value(target, point),
                 branch_keys=keys,
             ))
-            rec_keys = keys
-        i = j
+
+
+def _sweep(candidates: Iterable[tuple[int, ...]],
+           comparator: _Comparator) -> list[MinimalPointEntry]:
+    heap = [(sum(v * v for v in c), c) for c in set(candidates)]
+    heapq.heapify(heap)
+    entries: list[MinimalPointEntry] = []
+    _sweep_below(heap, math.inf, entries, comparator)
     return entries
 
 
@@ -377,9 +384,6 @@ def _record_is_small(target: TargetPoint, entry: MinimalPointEntry, cap: int) ->
     """Certified L(record) < |xi_0| / 2, the bound that pins later beaters."""
     half = abs(target.coords[0]) / 2
     return rigorous.compare(entry.l_value, half, cap) is rigorous.Comparison.LESS
-
-
-_SCAN_SPAN = 1 << 16  # x_0 values scanned per streamed chunk
 
 
 class _RecordFilter:
@@ -395,14 +399,12 @@ class _RecordFilter:
 
     __slots__ = ("rsnap", "rec_hi")
 
-    def __init__(self, target: TargetPoint):
+    def __init__(self, target: TargetPoint, record: tuple[int, ...]):
         self.rsnap = target.ratio_snapshot(_BASE_BITS)
-        self.rec_hi: Optional[int] = None
+        self.set_record(record)
 
     def loses(self, coords: tuple[int, ...]) -> bool:
         rec_hi = self.rec_hi
-        if rec_hi is None:
-            return False
         x0 = coords[0]
         k = 1
         for rlo, rhi in self.rsnap:
@@ -425,88 +427,35 @@ class _RecordFilter:
         self.rec_hi = worst
 
 
-def _stream_entries(target: TargetPoint, approx_set: ApproxSet,
-                    norm_sq_max: int, comparator: _Comparator, cap: int,
-                    base_set: set, bound_sq: int,
-                    threads: int) -> list[MinimalPointEntry]:
-    """Scan x_0 spans in order, filter against the running record, and sweep
-    complete norm groups off a heap.
+def _stream_entries(comparator: _Comparator, approx_set: ApproxSet,
+                    norm_sq_max: int, entries: list[MinimalPointEntry],
+                    bound_sq: int) -> None:
+    """Extend the start-region records, complete up to squared norm
+    bound_sq, to norm_sq_max with the pinned x_0 scan.
 
-    Candidates from a span starting at a have norm >= a, so every heap group
-    below a*a is complete before the span merges; memory stays at one span
-    plus the few candidates the record cannot already reject.  Processing
-    order (and hence the result) matches a single sweep of all candidates
-    sorted by (norm, coordinates).
+    Candidates at x_0 have norm >= x_0^2, so when the scan reaches x_0 every
+    heap group below x_0^2 is complete and is swept.  Only candidates the
+    current record cannot already reject are pushed, so the heap holds few
+    points.  Processing order (and hence the result) matches a single sweep
+    of all candidates sorted by (norm, coordinates).
     """
-    filt = _RecordFilter(target)
-    entries: list[MinimalPointEntry] = []
-    rec_keys = None
-    heap = [(sum(v * v for v in c), c) for c in base_set]
-    heapq.heapify(heap)
-
-    def sweep_below(limit: int) -> None:
-        nonlocal rec_keys
-        while heap and heap[0][0] < limit:
-            ns = heap[0][0]
-            best = None
-            while heap and heap[0][0] == ns:
-                coords = heapq.heappop(heap)[1]
-                if filt.loses(coords):
-                    continue
-                keys = comparator.keys(coords)
-                if rec_keys is not None and comparator.compare(
-                        keys, rec_keys, coords, "the current record") >= 0:
-                    continue
-                if best is None or comparator.compare(keys, best[1],
-                                                      coords, best[0]) < 0:
-                    best = (coords, keys)
-            if best is not None:
-                coords, keys = best
-                point = IntegerPoint.canonical(coords)
-                entries.append(MinimalPointEntry(
-                    index=len(entries),
-                    point=point,
-                    norm_sq=ns,
-                    x_value=rigorous.sqrt(ns),
-                    l_value=model.l_value(target, point, cap),
-                    branch_keys=keys,
-                ))
-                rec_keys = keys
-                filt.set_record(point.coords)
-
-    x0_max = isqrt(norm_sq_max)
-    spans = [(lo, min(lo + _SCAN_SPAN - 1, x0_max))
-             for lo in range(1, x0_max + 1, _SCAN_SPAN)]
-
-    def scan(span: tuple[int, int]) -> list[tuple[int, ...]]:
-        return list(_scan_candidates(target, approx_set, norm_sq_max,
-                                     x0_lo=span[0], x0_hi=span[1]))
-
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        pending: deque = deque()
-        next_up = 0
-        for span in spans:
-            if pool is not None:
-                while next_up < len(spans) and len(pending) < threads:
-                    pending.append(pool.submit(scan, spans[next_up]))
-                    next_up += 1
-                got = pending.popleft().result()
-            else:
-                got = scan(span)
-            sweep_below(span[0] * span[0])
-            for coords in got:
-                ns = sum(v * v for v in coords)
-                if ns <= bound_sq and coords in base_set:
-                    continue
-                if filt.loses(coords):
-                    continue
-                heapq.heappush(heap, (ns, coords))
-        sweep_below(norm_sq_max + 1)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    return entries
+    record = entries[-1]
+    filt = _RecordFilter(comparator.target, record.point.coords)
+    heap: list = []
+    x0 = 0
+    for coords in _scan_candidates(comparator.target, approx_set, norm_sq_max):
+        if coords[0] != x0:
+            x0 = coords[0]
+            _sweep_below(heap, x0 * x0, entries, comparator)
+            if entries[-1] is not record:
+                record = entries[-1]
+                filt.set_record(record.point.coords)
+        ns = sum(v * v for v in coords)
+        # every member with norm_sq <= bound_sq was swept in the start region
+        if ns <= bound_sq or filt.loses(coords):
+            continue
+        heapq.heappush(heap, (ns, coords))
+    _sweep_below(heap, math.inf, entries, comparator)
 
 
 def _validate_x_max(x_max) -> tuple[Fraction, int]:
@@ -518,14 +467,10 @@ def _validate_x_max(x_max) -> tuple[Fraction, int]:
 
 
 def enumerate_minimal_points(target: TargetPoint, approx_set: ApproxSet,
-                             x_max, cap: int = DEFAULT_ENUM_CAP,
-                             threads: int = 1) -> MinimalPointSequence:
+                             x_max, cap: int = DEFAULT_ENUM_CAP) -> MinimalPointSequence:
     """The minimal-point sequence of (target, S) for norms up to x_max.
 
-    Deterministic in (target, S, x_max, cap).  threads > 1 scans x_0 spans
-    ahead on a thread pool; spans merge in position order and the record
-    filter only discards certified losers, so the result does not depend
-    on thread count or completion order.  Raises EmptySet when S has no
+    Deterministic in (target, S, x_max, cap).  Raises EmptySet when S has no
     nonzero member in range, DependentCoordinates when an exactly-zero
     error is hit, TieUnresolved when a record comparison cannot be
     certified.
@@ -539,30 +484,24 @@ def enumerate_minimal_points(target: TargetPoint, approx_set: ApproxSet,
         cands = _sublattice_ball(approx_set, norm_sq_max)
         if not cands:
             raise EmptySet(f"no nonzero member of {approx_set!r} with norm <= {x_max}")
-        entries = _sweep(cands, comparator, target, cap)
+        entries = _sweep(cands, comparator)
         return MinimalPointSequence(target, approx_set, x_max, cap, entries, norm_sq_max)
 
     # brute-force start region, grown until the record pins later candidates
     bound_sq = min(64, norm_sq_max)
-    base: list[tuple[int, ...]] = []
-    entries: list[MinimalPointEntry] = []
     while True:
-        base = [c for c in _canonical_ball(target.n + 1, bound_sq)
-                if approx_set.member(c)]
-        entries = _sweep(base, comparator, target, cap)
+        entries = _sweep((c for c in _canonical_ball(target.n + 1, bound_sq)
+                          if approx_set.member(c)), comparator)
         if entries and _record_is_small(target, entries[-1], cap):
+            _stream_entries(comparator, approx_set, norm_sq_max, entries, bound_sq)
             break
         if bound_sq >= norm_sq_max:
             if not entries:
                 raise EmptySet(
                     f"no nonzero member of the approximation set with norm <= {x_max}"
                 )
-            return MinimalPointSequence(target, approx_set, x_max, cap,
-                                        entries, norm_sq_max)
+            break
         bound_sq = min(bound_sq * 4, norm_sq_max)
-
-    entries = _stream_entries(target, approx_set, norm_sq_max, comparator,
-                              cap, set(base), bound_sq, threads)
     return MinimalPointSequence(target, approx_set, x_max, cap, entries, norm_sq_max)
 
 
@@ -578,7 +517,7 @@ def brute_force_reference(target: TargetPoint, approx_set: ApproxSet,
              if approx_set.member(c)]
     if not cands:
         raise EmptySet(f"no nonzero member of the approximation set with norm <= {x_max}")
-    entries = _sweep(cands, comparator, target, cap)
+    entries = _sweep(cands, comparator)
     return MinimalPointSequence(target, approx_set, x_max, cap, entries, norm_sq_max)
 
 
@@ -627,7 +566,7 @@ def _window_candidates(target: TargetPoint, approx_set: ApproxSet,
     x0_max = isqrt(norm_sq_max)
     n = target.n
     for x0 in range(0, x0_max + 1):
-        if x0 and not _x0_allowed(approx_set, x0):
+        if not _x0_allowed(approx_set, x0):
             continue
         if x0 == 0:
             axes = [_allowed_range(approx_set, k, -margin, margin)
@@ -646,7 +585,10 @@ def _window_candidates(target: TargetPoint, approx_set: ApproxSet,
             if sum(v * v for v in rest) <= budget:
                 c = (x0,) + rest
                 if any(c):
-                    cands.add(IntegerPoint.canonical(c).coords)
+                    # at x_0 = 0 canonicalizing may flip c out of S
+                    p = IntegerPoint.canonical(c).coords
+                    if approx_set.member(p):
+                        cands.add(p)
     return cands
 
 
@@ -658,7 +600,7 @@ def exhaustive_scan(target: TargetPoint, approx_set: ApproxSet,
     if isinstance(approx_set, Sublattice):
         return brute_force_reference(target, approx_set, x_max, cap)
     cands = _window_candidates(target, approx_set, norm_sq_max, comparator)
-    entries = _sweep(cands, comparator, target, cap)
+    entries = _sweep(cands, comparator)
     return MinimalPointSequence(target, approx_set, x_max, cap, entries, norm_sq_max)
 
 

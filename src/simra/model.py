@@ -229,8 +229,8 @@ class TargetPoint:
         return f"TargetPoint(n={self.n}, ~{[float(c) for c in self.coords]})"
 
 
-def l_value(target: TargetPoint, point: Union[IntegerPoint, Sequence[int]],
-            cap: int | None = None) -> RigorousReal:
+def l_value(target: TargetPoint,
+            point: Union[IntegerPoint, Sequence[int]]) -> RigorousReal:
     """Enclosure of max_k |xi_0 x_k - xi_k x_0| for a nonzero integer point."""
     coords = point.coords if isinstance(point, IntegerPoint) else tuple(int(v) for v in point)
     if len(coords) != target.n + 1:

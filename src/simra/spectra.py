@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional, TextIO, Union
 
 from . import minpoints, model, reporting, rigorous, transference
-from .errors import DomainError, SchemaError
+from .errors import DomainError, SchemaError, TooFewPoints
 from .ivcalc import frac_enclosure, iv_pow, midpoint_float, rig_interval
 from .rigorous import RigorousReal
 
@@ -162,7 +162,7 @@ def liouville_preset(theta_doc: dict, extra_doc, x_max,
     margin = None
     try:
         est = transference.estimate_exponents(seq)
-    except Exception:
+    except TooFewPoints:
         pass
     corner = lambda_n(n)
     corner_f = float(corner)

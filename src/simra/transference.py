@@ -672,7 +672,7 @@ def verify_extremal_sequence(points: Sequence, target: model.TargetPoint,
     eps, big_c = _frac(eps, "eps"), _frac(big_c, "C")
     threshold = eps_threshold(alpha, beta, n)
 
-    pairs = [(p.norm_sq, model.l_value(target, p, cap)) for p in pts]
+    pairs = [(p.norm_sq, model.l_value(target, p)) for p in pts]
     growth = growth_conditions(pairs, alpha, beta, eps, big_c, n)
 
     dets = []

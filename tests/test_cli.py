@@ -55,7 +55,7 @@ def test_enumerate_deterministic(tmp_path):
     for name in ("a", "b"):
         run = tmp_path / name
         assert main(["enumerate", "--preset", "sqrt2", "--xmax", "1000",
-                     "--out", str(run), "--threads", "2"]) == 0
+                     "--out", str(run)]) == 0
         outs.append((read(run / "minimal_points.csv"),
                      read(run / "manifest.json")))
     assert outs[0] == outs[1]

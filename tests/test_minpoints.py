@@ -2,6 +2,7 @@
 
 import io
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -135,11 +136,32 @@ def test_annulus_and_minimality(sqrt2_seq_30):
     assert verify_minimality(sqrt2_seq_30) > 0
 
 
-def test_threads_deterministic(sqrt2):
-    target, approx = sqrt2
-    one = enumerate_minimal_points(target, approx, 5000, threads=1)
-    four = enumerate_minimal_points(target, approx, 5000, threads=4)
-    assert one.points() == four.points()
+def test_oracles_agree_on_random_congruence_sets(sqrt2, cubic):
+    rng = random.Random(7)
+    past_start_bound = 0  # cases whose records reach the streamed x_0 scan
+    for _ in range(8):
+        target, _ = rng.choice([sqrt2, cubic])
+        x_max = 150 if target.n == 1 else 25
+        m = rng.randint(2, 5)
+        index = rng.randint(0, target.n)
+        residues = rng.sample(range(m), rng.randint(1, m - 1))
+        approx = model.CongruenceSet(m, {index: residues})
+        fast = enumerate_minimal_points(target, approx, x_max)
+        assert all(approx.member(p) for p in fast.points()), approx
+        assert brute_force_reference(target, approx, x_max).points() == fast.points(), approx
+        assert exhaustive_scan(target, approx, x_max).points() == fast.points(), approx
+        past_start_bound += fast.entries[-1].norm_sq > 64
+    assert past_start_bound > 0
+
+
+def test_oracles_agree_on_random_sublattices(sqrt2):
+    target, _ = sqrt2
+    rng = random.Random(7)
+    for _ in range(4):
+        d = rng.randint(1, 4)
+        approx = model.Sublattice([(rng.randint(1, 4), rng.randint(0, d - 1)), (0, d)])
+        fast = enumerate_minimal_points(target, approx, 120)
+        assert brute_force_reference(target, approx, 120).points() == fast.points(), approx
 
 
 def test_csv_export(sqrt2_seq_30):

@@ -121,6 +121,16 @@ def test_liouville_preset_quadratic():
     assert rep["marginBelowCorner"] > 0.25
 
 
+def test_liouville_preset_short_run_has_no_estimate():
+    # too few entries for an exponent estimate: reported as None, not raised
+    theta = {"type": "algebraic", "minpoly": [-2, 0, 1], "interval": ["1", "2"]}
+    extra = {"type": "decimal", "value": "1.7320508075688772935"}
+    rep = liouville_preset(theta, extra, 100)
+    assert rep["entries"] == 7
+    assert rep["lambdaHatEst"] is None
+    assert rep["lambdaEst"] is None and rep["marginBelowCorner"] is None
+
+
 def test_liouville_preset_validation():
     with pytest.raises(SchemaError):
         liouville_preset({"type": "rational", "value": "2"}, None, 100)
