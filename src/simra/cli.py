@@ -2,10 +2,10 @@
 
 A run is a directory made by `enumerate`: the minimal-point CSV plus a
 manifest recording the target configuration, the range, and a content hash
-of every artifact.  Downstream subcommands take --run, replay the (cheap
-relative to analysis) enumeration from the embedded configuration, verify
-the stored CSV still matches its recorded hash, and add their own artifacts
-to the manifest.
+of every artifact.  Downstream subcommands take --run, check the stored CSV
+against its recorded hash, read the sequence back from it (nothing is
+re-enumerated), and add their own artifacts to the manifest.  `verify`
+re-certifies a run's sequence from scratch.
 
 All decimal output is fixed at 15 significant digits and dictionary keys are
 sorted, so identical flags give byte-identical files.  Module errors exit
@@ -120,35 +120,61 @@ def _cmd_enumerate(args) -> int:
 
 
 def _load_run(run_dir: str):
-    """(sequence, manifest) replayed from a run directory, hash-checked."""
+    """(sequence, manifest) of a run directory, read from its CSV.
+
+    The CSV must match the sha256 the manifest records for it, pass the row
+    checks of `minpoints.read_csv`, and hold the manifest's number of
+    entries.  The enumeration is not repeated; `simra verify --run`
+    re-certifies the sequence.
+    """
     manifest = _read_manifest(run_dir)
-    for key in ("config", "xMax", "cap"):
+    for key in ("config", "xMax", "cap", "entries"):
         if key not in manifest:
             raise SchemaError(f"manifest lacks {key!r}")
     target, approx = model.load_target(manifest["config"])
-    recorded = manifest.get("files", {}).get(POINTS_CSV)
     csv_path = os.path.join(run_dir, POINTS_CSV)
     try:
         with open(csv_path, "rb") as f:
-            on_disk = "sha256:" + sha256_hex(f.read())
+            data = f.read()
     except OSError:
-        on_disk = None
-    if on_disk != recorded:
+        data = None
+    if data is None or ("sha256:" + sha256_hex(data)
+                        != manifest.get("files", {}).get(POINTS_CSV)):
         raise DomainError(
             f"{POINTS_CSV} does not match its manifest hash; "
             "the run directory was edited"
         )
-    seq = minpoints.enumerate_minimal_points(
-        target, approx, Fraction(manifest["xMax"]), cap=manifest["cap"])
-    buf = io.StringIO()
-    minpoints.write_csv(seq, buf)
-    digest = "sha256:" + sha256_hex(buf.getvalue().encode("utf-8"))
-    if recorded != digest:
-        raise DomainError(
-            f"replayed enumeration disagrees with the stored {POINTS_CSV} "
-            f"hash ({recorded} vs {digest}); the run is stale"
-        )
+    try:
+        text = io.StringIO(data.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{csv_path} is not UTF-8: {e}") from None
+    text.name = csv_path
+    seq = minpoints.read_csv(target, approx, Fraction(manifest["xMax"]),
+                             manifest["cap"], text)
+    if len(seq.entries) != manifest["entries"]:
+        raise SchemaError(f"{csv_path} has {len(seq.entries)} rows, the manifest "
+                          f"records {manifest['entries']} entries")
     return seq, manifest
+
+
+def _cmd_verify(args) -> int:
+    seq, manifest = _load_run(args.run)
+    minpoints.verify_properties(seq)
+    checked = minpoints.verify_minimality(seq)
+    report = {
+        "entries": len(seq.entries),
+        "properties": {"checked": ["(a) norms increase", "(b) errors decrease"],
+                       "pairs": len(seq.entries) - 1},
+        "minimality": {"checked": ["(c) minimality", "start convention"],
+                       "upToX": str(seq.x_max),
+                       "candidatesBelowLastEntry": checked},
+    }
+    name = "verify.json"
+    digest = _write_text(os.path.join(args.run, name), json_canonical(report))
+    _update_manifest(args.run, manifest, name, digest)
+    sys.stdout.write(f"{len(seq.entries)} minimal points certified up to "
+                     f"X = {seq.x_max}\n")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +449,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--eps", required=True)
     ex.add_argument("--C", required=True)
     ex.set_defaults(func=_cmd_extremal)
+
+    v = sub.add_parser("verify", help="re-certify a run's minimal points up to its xMax")
+    v.add_argument("--run", required=True)
+    v.set_defaults(func=_cmd_verify)
 
     fr = sub.add_parser("frontier", help="boundary curve CSV of the exponent spectrum")
     fr.add_argument("--n", type=int, required=True)

@@ -70,6 +70,11 @@ class TooFewPoints(SimraError):
     """Not enough sequence entries in the requested window."""
 
 
+class PropertyViolated(SimraError):
+    """A minimal-point sequence fails one of the properties (a)-(c) or the
+    start convention when re-verified."""
+
+
 class SandwichViolated(SimraError):
     """A profile bound failed against the computed envelope.
 

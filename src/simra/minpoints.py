@@ -36,7 +36,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from . import model, rigorous
 from .errors import (BeyondCertifiedRange, DependentCoordinates, DomainError,
-                     EmptySet, TieUnresolved)
+                     EmptySet, PropertyViolated, SchemaError, TieUnresolved)
 from .model import ApproxSet, CongruenceSet, FullLattice, IntegerPoint, Sublattice, TargetPoint
 from .rigorous import RigorousReal
 
@@ -256,25 +256,23 @@ def _sublattice_ball(lat: Sublattice, norm_sq_max: int) -> list[tuple[int, ...]]
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     ginv = [row[k:] for row in aug]
-    seen = set()
-    out = []
-    ranges = []
+    bounds = []
     for i in range(k):
         u = [sum(ginv[i][j] * basis[j][t] for j in range(k)) for t in range(amb)]
         nsq = sum(v * v for v in u)
-        bound = isqrt(int(nsq * norm_sq_max)) + 1
-        ranges.append(range(-bound, bound + 1))
-    for cs in product(*ranges):
-        if all(c == 0 for c in cs):
-            continue
-        x = tuple(sum(cs[j] * basis[j][t] for j in range(k)) for t in range(amb))
-        ns = sum(v * v for v in x)
-        if ns == 0 or ns > norm_sq_max:
-            continue
-        pt = model.IntegerPoint.canonical(x).coords
-        if pt not in seen:
-            seen.add(pt)
-            out.append(pt)
+        bounds.append(isqrt(int(nsq * norm_sq_max)) + 1)
+    # x = Bc with B injective, so c and -c are the only preimages of x and
+    # -x: a positive first nonzero coefficient yields each pair once
+    out = []
+    for lead in range(k):
+        tails = [range(-b, b + 1) for b in bounds[lead + 1:]]
+        for c_lead in range(1, bounds[lead] + 1):
+            for rest in product(*tails):
+                cs = (c_lead,) + rest
+                x = tuple(sum(c * basis[lead + j][t] for j, c in enumerate(cs))
+                          for t in range(amb))
+                if sum(v * v for v in x) <= norm_sq_max:
+                    out.append(model.IntegerPoint.canonical(x).coords)
     return out
 
 
@@ -336,6 +334,21 @@ def _scan_candidates(target: TargetPoint, approx: ApproxSet,
 # ---------------------------------------------------------------------------
 # the record sweep
 
+def _entry(target: TargetPoint, index: int, coords: tuple[int, ...],
+           norm_sq: int, keys: tuple) -> MinimalPointEntry:
+    """The one constructor of entries, for the sweep and for read_csv alike:
+    X and L are enclosed afresh from the exact point."""
+    point = IntegerPoint.canonical(coords)
+    return MinimalPointEntry(
+        index=index,
+        point=point,
+        norm_sq=norm_sq,
+        x_value=rigorous.sqrt(norm_sq),
+        l_value=model.l_value(target, point),
+        branch_keys=keys,
+    )
+
+
 def _sweep_below(heap: list, limit, entries: list[MinimalPointEntry],
                  comparator: _Comparator) -> None:
     """Pop every (norm_sq, coords) group with norm_sq < limit off the heap,
@@ -359,16 +372,7 @@ def _sweep_below(heap: list, limit, entries: list[MinimalPointEntry],
             if best is None or comparator.compare(keys, best[1], coords, best[0]) < 0:
                 best = (coords, keys)
         if best is not None:
-            coords, keys = best
-            point = IntegerPoint.canonical(coords)
-            entries.append(MinimalPointEntry(
-                index=len(entries),
-                point=point,
-                norm_sq=ns,
-                x_value=rigorous.sqrt(ns),
-                l_value=model.l_value(target, point),
-                branch_keys=keys,
-            ))
+            entries.append(_entry(target, len(entries), best[0], ns, best[1]))
 
 
 def _sweep(candidates: Iterable[tuple[int, ...]],
@@ -664,7 +668,12 @@ def dirichlet_check(seq: MinimalPointSequence) -> DirichletReport:
 
 
 # ---------------------------------------------------------------------------
-# CSV export
+# CSV export and import
+
+def _csv_header(n: int) -> list[str]:
+    return (["i"] + [f"x_{k}" for k in range(n + 1)]
+            + ["normSq", "X", "L", "log10X", "neg_log10L"])
+
 
 def write_csv(seq: MinimalPointSequence, fileobj) -> None:
     """Deterministic CSV: i, x_0..x_n, normSq, X, L, log10X, neg_log10L."""
@@ -672,10 +681,8 @@ def write_csv(seq: MinimalPointSequence, fileobj) -> None:
 
     from .reporting import format_significant
 
-    n = seq.target.n
     w = csv.writer(fileobj, lineterminator="\n")
-    w.writerow(["i"] + [f"x_{k}" for k in range(n + 1)]
-               + ["normSq", "X", "L", "log10X", "neg_log10L"])
+    w.writerow(_csv_header(seq.target.n))
     for e in seq.entries:
         x_lo, x_hi, _ = rigorous.enclosure(e.x_value, 80)
         l_lo, l_hi, _ = rigorous.enclosure(e.l_value, 96)
@@ -692,17 +699,80 @@ def write_csv(seq: MinimalPointSequence, fileobj) -> None:
             ])
 
 
+def read_csv(target: TargetPoint, approx_set: ApproxSet, x_max, cap: int,
+             fileobj) -> MinimalPointSequence:
+    """The sequence a write_csv export of (target, S, x_max, cap) holds.
+
+    Only the exact columns i, x_0..x_n and normSq are read; X, L and the
+    branch keys are recomputed from each point, so the result equals the
+    enumerated sequence.  Every row must carry its own position as i, a
+    canonical member of S, its true squared norm within x_max, and a norm
+    above the row before; otherwise SchemaError names the file and the
+    line.  Properties (b) and (c) are left to verify_properties and
+    verify_minimality.
+    """
+    import csv
+
+    x_max, norm_sq_max = _validate_x_max(x_max)
+    name = getattr(fileobj, "name", "the minimal-point CSV")
+    header = _csv_header(target.n)
+    reader = csv.reader(fileobj)
+    if next(reader, None) != header:
+        raise SchemaError(f"{name}: the header is not {','.join(header)}")
+    comparator = _Comparator(target, cap)
+    entries: list[MinimalPointEntry] = []
+    for row in reader:
+        where = f"{name} line {reader.line_num}"
+        if len(row) != len(header):
+            raise SchemaError(f"{where}: {len(row)} fields, expected {len(header)}")
+        try:
+            ints = [int(v) for v in row[:target.n + 3]]
+        except ValueError:
+            raise SchemaError(f"{where}: i, x_k and normSq must be integers") from None
+        index, coords, ns = ints[0], tuple(ints[1:-1]), ints[-1]
+        if index != len(entries):
+            raise SchemaError(f"{where}: i = {index}, expected {len(entries)}")
+        if not any(coords) or IntegerPoint.canonical(coords).coords != coords:
+            raise SchemaError(f"{where}: {coords} is not a canonical nonzero point")
+        if not approx_set.member(coords):
+            raise SchemaError(f"{where}: {coords} is not a member of {approx_set!r}")
+        if ns != sum(v * v for v in coords):
+            raise SchemaError(f"{where}: normSq {ns} is not the squared norm of {coords}")
+        if ns > norm_sq_max:
+            raise SchemaError(f"{where}: normSq {ns} exceeds {norm_sq_max}, "
+                              f"the bound of x_max = {x_max}")
+        if entries and ns <= entries[-1].norm_sq:
+            raise SchemaError(f"{where}: normSq {ns} does not exceed the previous "
+                              f"row's {entries[-1].norm_sq}")
+        entries.append(_entry(target, index, coords, ns, comparator.keys(coords)))
+    return MinimalPointSequence(target, approx_set, x_max, cap, entries, norm_sq_max)
+
+
 # ---------------------------------------------------------------------------
-# property re-verification (used by tests and the acceptance gate)
+# property re-verification (used by tests, the acceptance gate and
+# `simra verify`)
 
 def verify_properties(seq: MinimalPointSequence) -> None:
-    """Re-check (a) and (b) on a computed sequence; raises AssertionError."""
+    """Re-check (a) and (b) on a computed sequence; raises PropertyViolated."""
     comparator = _Comparator(seq.target, seq.cap)
     for a, b in zip(seq.entries, seq.entries[1:]):
-        assert a.norm_sq < b.norm_sq, "norms must strictly increase"
-        assert comparator.compare(b.branch_keys, a.branch_keys,
-                                  b.point.coords, a.point.coords) < 0, \
-            "L values must strictly decrease"
+        if a.norm_sq >= b.norm_sq:
+            raise PropertyViolated(
+                f"norms must strictly increase: {b.point.coords} after {a.point.coords}")
+        if comparator.compare(b.branch_keys, a.branch_keys,
+                              b.point.coords, a.point.coords) >= 0:
+            raise PropertyViolated(
+                f"L values must strictly decrease: {b.point.coords} after "
+                f"{a.point.coords}")
+
+
+def _check_not_better(comparator: _Comparator, c: tuple[int, ...],
+                      e: MinimalPointEntry) -> int:
+    """compare(L(c), L(e)), raising PropertyViolated when c is better."""
+    cmp_ = comparator.compare(comparator.keys(c), e.branch_keys, c, e.point.coords)
+    if cmp_ < 0:
+        raise PropertyViolated(f"point {c} violates minimality of {e.point.coords}")
+    return cmp_
 
 
 def verify_annulus(seq: MinimalPointSequence, max_norm_sq: Optional[int] = None) -> int:
@@ -719,22 +789,27 @@ def verify_annulus(seq: MinimalPointSequence, max_norm_sq: Optional[int] = None)
                 continue
             if not seq.approx_set.member(c):
                 continue
-            keys = comparator.keys(c)
-            assert comparator.compare(keys, e.branch_keys, c, e.point.coords) >= 0, \
-                f"point {c} violates minimality of {e.point.coords}"
+            _check_not_better(comparator, c, e)
         checked += 1
     return checked
 
 
 def verify_minimality(seq: MinimalPointSequence) -> int:
-    """Property (c) over the windowed candidate superset, which provably
-    contains every potential violator.  Returns the number of points checked.
+    """Property (c) and the start convention up to x_max, over a candidate
+    superset that provably contains every potential violator; raises
+    PropertyViolated.
 
     A violator z has norm < X_{i+1} and L(z) < L_i for some i; since the L_i
     decrease, the binding comparison is against the first entry whose
-    successor norm exceeds z (the L values only get smaller after it).
+    successor norm exceeds z (the L values only get smaller after it), and
+    against the last entry for every z past it.  No member of S may be
+    shorter than the first entry, which must beat, or tie and precede
+    lexicographically, every member of its norm.  Returns the number of
+    candidates checked below the last entry's norm.
     """
     comparator = _Comparator(seq.target, seq.cap)
+    if not seq.entries:
+        raise PropertyViolated("the sequence has no entries")
     if isinstance(seq.approx_set, Sublattice):
         cands = _sublattice_ball(seq.approx_set, seq.norm_sq_max)
     else:
@@ -742,18 +817,23 @@ def verify_minimality(seq: MinimalPointSequence) -> int:
                                    seq.norm_sq_max, comparator)
     import bisect
 
+    first = seq.entries[0]
     next_norms = [nxt.norm_sq for nxt in seq.entries[1:]]
     checked = 0
     for c in cands:
         if not seq.approx_set.member(c):
             continue
         ns = sum(v * v for v in c)
+        if ns < first.norm_sq:
+            raise PropertyViolated(
+                f"point {c} of S is shorter than the start point {first.point.coords}")
         i = bisect.bisect_right(next_norms, ns)
-        if i >= len(next_norms):
-            continue
         e = seq.entries[i]
-        keys = comparator.keys(c)
-        assert comparator.compare(keys, e.branch_keys, c, e.point.coords) >= 0, \
-            f"point {c} violates minimality of {e.point.coords}"
-        checked += 1
+        cmp_ = _check_not_better(comparator, c, e)
+        if cmp_ == 0 and ns == first.norm_sq and c < first.point.coords:
+            raise PropertyViolated(
+                f"point {c} ties the start point {first.point.coords} in norm "
+                "and L and precedes it lexicographically")
+        if i < len(next_norms):
+            checked += 1
     return checked

@@ -11,6 +11,7 @@ congruence conditions on individual coordinates, or an explicit sublattice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -119,52 +120,40 @@ class Sublattice(ApproxSet):
             raise AmbientMismatch("sublattice basis vectors differ in length")
         self.basis = tuple(vecs)
         self.ambient = dim
-        if self._rank() != len(vecs):
-            raise DomainError("sublattice basis vectors must be linearly independent")
-
-    def _rank(self) -> int:
-        rows = [[Fraction(v) for v in vec] for vec in self.basis]
-        rank = 0
-        for col in range(self.ambient):
-            piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        # Row-reduce [B^T | I] once, B^T having the basis vectors as columns.
+        # Its right block E then satisfies E B^T = [I; 0]: x = B^T c forces
+        # c_j = (row j of E) . x, and x lies in the rational span exactly
+        # when the rows below the pivots annihilate it.
+        k = len(vecs)
+        rows = [[Fraction(v[t]) for v in vecs] + [Fraction(int(s == t)) for s in range(dim)]
+                for t in range(dim)]
+        for col in range(k):
+            piv = next((r for r in range(col, dim) if rows[r][col] != 0), None)
             if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            for r in range(len(rows)):
-                if r != rank and rows[r][col] != 0:
-                    f = rows[r][col] / rows[rank][col]
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-            rank += 1
-        return rank
+                raise DomainError("sublattice basis vectors must be linearly independent")
+            rows[col], rows[piv] = rows[piv], rows[col]
+            rows[col] = [a / rows[col][col] for a in rows[col]]
+            for r in range(dim):
+                if r != col and rows[r][col] != 0:
+                    f = rows[r][col]
+                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+        solve = []  # (u, d) with integer u and (row of E) = u / d
+        for row in rows:
+            d = math.lcm(*(v.denominator for v in row[k:]))
+            solve.append((tuple(int(v * d) for v in row[k:]), d))
+        self._coeff_rows = tuple(solve[:k])
+        self._span_rows = tuple(u for u, _ in solve[k:])
 
     def member(self, coords: Sequence[int]) -> bool:
         if len(coords) != self.ambient:
             raise AmbientMismatch(
                 f"point has dimension {len(coords)}, lattice ambient is {self.ambient}"
             )
-        # solve sum_j c_j basis_j = coords over Q, then demand integrality
-        rows = [[Fraction(vec[i]) for vec in self.basis] + [Fraction(coords[i])]
-                for i in range(self.ambient)]
-        ncols = len(self.basis)
-        rank = 0
-        pivots = []
-        for col in range(ncols):
-            piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            for r in range(len(rows)):
-                if r != rank and rows[r][col] != 0:
-                    f = rows[r][col] / rows[rank][col]
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-            pivots.append(col)
-            rank += 1
-        for r in range(rank, len(rows)):
-            if rows[r][ncols] != 0:
+        for u in self._span_rows:
+            if sum(a * b for a, b in zip(u, coords)):
                 return False  # not even in the rational span
-        for r, col in enumerate(pivots):
-            c = rows[r][ncols] / rows[r][col]
-            if c.denominator != 1:
+        for u, d in self._coeff_rows:
+            if sum(a * b for a, b in zip(u, coords)) % d:
                 return False
         return True
 

@@ -228,3 +228,143 @@ def test_entry_point_subprocess():
         capture_output=True, text=True, timeout=120)
     assert out.returncode == 0
     assert out.stdout.strip().startswith("0.405267856")
+
+
+# ---------------------------------------------------------------------------
+# runs are read back from their CSV, and `verify` re-certifies them
+
+SUBLATTICE_CONFIG = {
+    "n": 1,
+    "coords": [{"type": "rational", "value": "1"},
+               {"type": "algebraic", "minpoly": [-2, 0, 1], "interval": ["1", "2"]}],
+    "S": {"type": "sublattice", "basis": [[2, 1], [0, 3]]},
+}
+
+
+def rehash(run, **manifest_fields):
+    """Record the CSV's current hash (and any given fields) in the manifest."""
+    path = run / "manifest.json"
+    manifest = json.loads(read(path))
+    data = (run / "minimal_points.csv").read_bytes()
+    manifest["files"]["minimal_points.csv"] = "sha256:" + hashlib.sha256(data).hexdigest()
+    manifest.update(manifest_fields)
+    path.write_text(json.dumps(manifest))
+
+
+def edit_rows(run, edit, **manifest_fields):
+    """Rewrite the CSV's data rows through edit(rows) and re-hash it."""
+    path = run / "minimal_points.csv"
+    lines = read(path).splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    rows = edit(rows)
+    path.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
+    rehash(run, **manifest_fields)
+
+
+def test_run_subcommands_do_not_enumerate(tmp_path, capsys, monkeypatch):
+    run = tmp_path / "cubic"
+    assert main(["enumerate", "--preset", "cbrt2", "--xmax", "10000",
+                 "--out", str(run)]) == 0
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("a --run subcommand enumerated")
+
+    monkeypatch.setattr("simra.minpoints.enumerate_minimal_points", no_enumeration)
+    for argv in (["exponents"], ["construct", "--i0", "0"],
+                 ["transfer", "--alpha", "2/5", "--beta", "3/5"],
+                 ["extremal", "--alpha", "1", "--beta", "1", "--eps", "0", "--C", "1"],
+                 ["plot", "--what", "envelope"]):
+        code, out = run_cli(capsys, argv[0], "--run", str(run), *argv[1:])
+        assert code == 0, (argv, out)
+
+
+@pytest.mark.parametrize("source, xmax", [
+    (["--preset", "sqrt2"], "1000"),
+    (["--preset", "cbrt2"], "500"),
+    (["--preset", "sqrt2-even-x0"], "1000"),
+    (["--config", "sublattice.json"], "150"),
+])
+def test_verify_subcommand(tmp_path, capsys, monkeypatch, source, xmax):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sublattice.json").write_text(json.dumps(SUBLATTICE_CONFIG))
+    assert run_cli(capsys, "enumerate", *source, "--xmax", xmax, "--out", "run")[0] == 0
+    code, out = run_cli(capsys, "verify", "--run", "run")
+    assert code == 0, out
+    rep = json.loads(read(tmp_path / "run" / "verify.json"))
+    manifest = json.loads(read(tmp_path / "run" / "manifest.json"))
+    assert rep["minimality"]["upToX"] == xmax
+    assert rep["entries"] == manifest["entries"]
+    assert rep["properties"]["pairs"] == manifest["entries"] - 1
+    assert rep["minimality"]["candidatesBelowLastEntry"] > 0
+    assert "verify.json" in manifest["files"]
+
+
+def test_verify_rejects_truncated_run(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert run_cli(capsys, "enumerate", "--preset", "sqrt2", "--xmax", "1000",
+                   "--out", str(run))[0] == 0
+    edit_rows(run, lambda rows: rows[:-1])
+    # the manifest still counts the deleted record
+    code, out = run_cli(capsys, "verify", "--run", str(run))
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "SchemaError"
+    # with the count made consistent too, the run loads; only verify can tell
+    rehash(run, entries=8)
+    assert run_cli(capsys, "plot", "--run", str(run), "--what", "envelope")[0] == 0
+    code, out = run_cli(capsys, "verify", "--run", str(run))
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "PropertyViolated"
+    assert "(408, 577)" in err["message"]
+    assert not (run / "verify.json").exists()
+
+
+def swap_rows(rows):
+    rows[3], rows[4] = rows[4], rows[3]
+    rows[3][0], rows[4][0] = "3", "4"
+    return rows
+
+
+def set_fields(row, *values):
+    """Overwrite fields 1, 2, ... of data row `row` (field 0 is i)."""
+    def edit(rows):
+        rows[row][1:1 + len(values)] = values
+        return rows
+    return edit
+
+
+@pytest.mark.parametrize("edit, fields, message", [
+    (lambda rows: [["7"] + r[1:] if r[0] == "2" else r for r in rows], {},
+     "i = 7, expected 2"),
+    (lambda rows: [[r[0], str(-int(r[1])), str(-int(r[2]))] + r[3:] if r[0] == "2" else r
+                   for r in rows], {}, "not a canonical nonzero point"),
+    (set_fields(0, "0", "0"), {}, "not a canonical nonzero point"),
+    (set_fields(2, "2", "3", "14"), {}, "is not the squared norm"),
+    (swap_rows, {}, "does not exceed the previous"),
+    (lambda rows: rows, {"xMax": "100"}, "exceeds 10000"),
+    (lambda rows: rows, {"entries": 8}, "has 9 rows"),
+])
+def test_run_csv_rows_validated(tmp_path, capsys, edit, fields, message):
+    run = tmp_path / "run"
+    assert run_cli(capsys, "enumerate", "--preset", "sqrt2", "--xmax", "1000",
+                   "--out", str(run))[0] == 0
+    edit_rows(run, edit, **fields)
+    code, out = run_cli(capsys, "exponents", "--run", str(run))
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "SchemaError"
+    assert message in err["message"]
+    assert "minimal_points.csv" in err["message"]
+
+
+def test_run_csv_nonmember_rejected(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert run_cli(capsys, "enumerate", "--preset", "sqrt2-even-x0", "--xmax", "30",
+                   "--out", str(run))[0] == 0
+    # (2, 2) -> (1, 1): canonical, correctly normed, but x_0 is odd
+    edit_rows(run, set_fields(1, "1", "1", "2"))
+    code, out = run_cli(capsys, "exponents", "--run", str(run))
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "SchemaError"
+    assert "line 3" in err["message"] and "not a member" in err["message"]

@@ -3,6 +3,7 @@
 import io
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from simra.errors import (
     DependentCoordinates,
     DomainError,
     EmptySet,
+    PropertyViolated,
 )
 from simra.minpoints import (
     INFINITE,
@@ -22,6 +24,7 @@ from simra.minpoints import (
     envelope,
     envelope_at_norm_sq,
     exhaustive_scan,
+    read_csv,
     verify_annulus,
     verify_minimality,
     verify_properties,
@@ -204,3 +207,77 @@ def test_decimal_targets_work_at_data_precision():
     seq = enumerate_minimal_points(target, approx, 100)
     assert len(seq) >= 4
     verify_properties(seq)
+
+
+def test_verify_minimality_rejects_truncated_sequences(sqrt2):
+    target, approx = sqrt2
+    seq = enumerate_minimal_points(target, approx, 1000)
+    assert len(seq) == 9
+    assert verify_minimality(seq) > 0
+    for kept, culprit in ((seq.entries[:-1], "(408, 577)"), (seq.entries[1:], "(0, 1)")):
+        cut = minpoints.MinimalPointSequence(target, approx, seq.x_max, seq.cap,
+                                             kept, seq.norm_sq_max)
+        verify_properties(cut)  # (a) and (b) still hold
+        with pytest.raises(PropertyViolated, match=re.escape(culprit)):
+            verify_minimality(cut)
+
+
+def test_verify_minimality_checks_start_tie_break(cubic):
+    # (0, 0, 1) and (0, 1, 0) tie in norm and in L = |xi_0|; the start point
+    # is the lexicographically first
+    target, approx = cubic
+    seq = enumerate_minimal_points(target, approx, 30)
+    assert seq.points()[0] == (0, 0, 1)
+    keys = minpoints._Comparator(target).keys((0, 1, 0))
+    swapped = minpoints.MinimalPointSequence(
+        target, approx, seq.x_max, seq.cap,
+        [minpoints._entry(target, 0, (0, 1, 0), 1, keys)] + seq.entries[1:],
+        seq.norm_sq_max)
+    verify_properties(swapped)
+    with pytest.raises(PropertyViolated, match="precedes it lexicographically"):
+        verify_minimality(swapped)
+
+
+SUBLATTICE_DOC = {
+    "n": 1,
+    "coords": [{"type": "rational", "value": "1"},
+               {"type": "algebraic", "minpoly": [-2, 0, 1], "interval": ["1", "2"]}],
+    "S": {"type": "sublattice", "basis": [[2, 1], [0, 3]]},
+}
+
+
+@pytest.mark.parametrize("doc, x_max", [
+    (presets.preset_config("sqrt2"), 10 ** 4),
+    (presets.preset_config("sqrt2-even-x0"), 10 ** 4),
+    (presets.preset_config("cbrt2"), 2000),
+    (SUBLATTICE_DOC, 300),
+])
+def test_csv_round_trip(doc, x_max):
+    target, approx = model.load_target(doc)
+    seq = enumerate_minimal_points(target, approx, x_max)
+    buf = io.StringIO()
+    write_csv(seq, buf)
+    buf.seek(0)
+    back = read_csv(target, approx, x_max, seq.cap, buf)
+    assert (back.x_max, back.norm_sq_max, back.cap) == (seq.x_max, seq.norm_sq_max, seq.cap)
+    assert len(back) == len(seq)
+    comparator = minpoints._Comparator(target, seq.cap)
+    for a, b in zip(back.entries, seq.entries):
+        assert (a.index, a.point, a.norm_sq) == (b.index, b.point, b.norm_sq)
+        assert a.branch_keys == b.branch_keys
+        # equal branch keys certify equal L values
+        assert comparator.compare(a.branch_keys, b.branch_keys) == 0
+        assert rigorous.enclosure(a.l_value, 96) == rigorous.enclosure(b.l_value, 96)
+        assert rigorous.enclosure(a.x_value, 80) == rigorous.enclosure(b.x_value, 80)
+    again = io.StringIO()
+    write_csv(back, again)
+    assert again.getvalue() == buf.getvalue()
+
+
+def test_sublattice_ball_yields_each_point_once():
+    for basis in ([(2, 1), (0, 3)], [(1, 0), (0, 1)], [(3, 1, 0), (0, 2, 1)]):
+        lat = model.Sublattice(basis)
+        ball = minpoints._sublattice_ball(lat, 200)
+        assert len(ball) == len(set(ball))
+        want = {c for c in minpoints._canonical_ball(lat.ambient, 200) if lat.member(c)}
+        assert set(ball) == want

@@ -1,11 +1,12 @@
 """Targets, approximation sets, configuration documents, and L values."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from simra import rigorous
-from simra.errors import AmbientMismatch, SchemaError, ZeroPoint
+from simra.errors import AmbientMismatch, DomainError, SchemaError, ZeroPoint
 from simra.model import (
     CongruenceSet,
     FullLattice,
@@ -53,6 +54,55 @@ def test_sublattice_membership():
     assert not s.member((3, 1))
     with pytest.raises(Exception):
         Sublattice([(1, 2), (2, 4)])  # dependent rows
+
+
+def member_by_elimination(basis, coords):
+    """Reference: solve sum_j c_j basis_j = coords over Q, demand integrality."""
+    rows = [[Fraction(vec[i]) for vec in basis] + [Fraction(coords[i])]
+            for i in range(len(coords))]
+    rank, pivots = 0, []
+    for col in range(len(basis)):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        pivots.append(col)
+        rank += 1
+    if any(rows[r][-1] != 0 for r in range(rank, len(rows))):
+        return False
+    return all((rows[r][-1] / rows[r][col]).denominator == 1
+               for r, col in enumerate(pivots))
+
+
+def test_sublattice_member_matches_elimination():
+    rng = random.Random(11)
+    bases = 0
+    while bases < 40:
+        ambient = rng.randint(2, 4)
+        k = rng.randint(1, ambient)  # k < ambient: a lattice in a proper subspace
+        basis = [[rng.randint(-4, 4) for _ in range(ambient)] for _ in range(k)]
+        try:
+            lat = Sublattice(basis)
+        except DomainError:
+            continue
+        bases += 1
+        for _ in range(60):
+            if rng.random() < 0.5:  # rational combinations hit the span often
+                den = rng.randint(1, 3)
+                cs = [Fraction(rng.randint(-6, 6), den) for _ in range(k)]
+                x = [sum(c * b[t] for c, b in zip(cs, basis)) for t in range(ambient)]
+                if any(v.denominator != 1 for v in x):
+                    continue
+                x = [int(v) for v in x]
+            else:
+                x = [rng.randint(-9, 9) for _ in range(ambient)]
+            assert lat.member(x) == member_by_elimination(basis, x), (basis, x)
+    with pytest.raises(AmbientMismatch):
+        Sublattice([(2, 0), (0, 1)]).member((1, 2, 3))
 
 
 def test_target_requires_nonzero_first_coordinate():
