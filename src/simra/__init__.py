@@ -17,7 +17,7 @@ from .errors import SimraError
 from .minpoints import (MinimalPointEntry, MinimalPointSequence,
                         brute_force_reference, dirichlet_check,
                         enumerate_minimal_points, envelope, exhaustive_scan,
-                        verify_annulus, verify_minimality, verify_properties)
+                        verify_minimality, verify_properties)
 from .model import (CongruenceSet, FullLattice, IntegerPoint, Sublattice,
                     TargetPoint, l_value, load_target)
 from .presets import load_preset, preset_config, preset_names
@@ -49,6 +49,6 @@ __all__ = [
     "phi_functions", "preset_config", "preset_names", "presets", "rational",
     "reporting", "rigorous", "saturate", "schmidt_ratio", "select_indices",
     "spectra", "subspaces", "sum_", "theorem31_ratio", "transference",
-    "verify_annulus", "verify_extremal_sequence", "verify_family_identities",
+    "verify_extremal_sequence", "verify_family_identities",
     "verify_minimality", "verify_properties",
 ]

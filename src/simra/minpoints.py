@@ -13,11 +13,14 @@ that norm, ties in norm broken lexicographically.
 The fast enumerator scans x_0 = 1, 2, ...: once the running record satisfies
 L < |xi_0| / 2, any further record-beater must have each x_k within 1/2 of
 (xi_k/xi_0) x_0, so only the floor/ceil (nearest-allowed) values per
-coordinate can compete.  The stretch before that bound, and all explicit
-sublattice sets, use bounded brute force.  Two independent cross-checks are
-kept: a literal scan of every canonical point (small X only) and a windowed
-scan whose per-coordinate windows are sized by the first record, which
-provably contain every point able to beat any later record.
+coordinate can compete.  The argument holds for every approximation set,
+so all sets share one path: a brute-force start region over the members of
+S, grown until the record is that small, then the pinned scan.  Two
+independent cross-checks are kept, both filtering canonical points of
+Z^(n+1) by membership in S: a literal scan of every canonical point (small
+X only) and a windowed scan whose per-coordinate windows are sized by the
+first record, which provably contain every point able to beat any later
+record.
 
 All record comparisons are certified: branch values are tracked symbolically
 (so exact ties between branches are recognized, not fought numerically) and
@@ -37,7 +40,7 @@ from typing import Iterable, Optional, Sequence, Union
 from . import model, rigorous
 from .errors import (BeyondCertifiedRange, DependentCoordinates, DomainError,
                      EmptySet, PropertyViolated, SchemaError, TieUnresolved)
-from .model import ApproxSet, CongruenceSet, FullLattice, IntegerPoint, Sublattice, TargetPoint
+from .model import ApproxSet, CongruenceSet, IntegerPoint, Sublattice, TargetPoint
 from .rigorous import RigorousReal
 
 DEFAULT_ENUM_CAP = 4096
@@ -233,6 +236,19 @@ def _canonical_ball(ambient: int, norm_sq_max: int) -> Iterable[tuple[int, ...]]
     yield from rec([], norm_sq_max, False)
 
 
+def _members_in_ball(approx_set: ApproxSet, ambient: int,
+                     norm_sq_max: int) -> Iterable[tuple[int, ...]]:
+    """Every canonical nonzero member of S with squared norm <= norm_sq_max.
+
+    A sublattice's members are generated from its basis: a rank-deficient
+    lattice's record may never pin later candidates, so its start region
+    can run to x_max, where the ball of Z^(n+1) would be far larger.
+    """
+    if isinstance(approx_set, Sublattice):
+        return _sublattice_ball(approx_set, norm_sq_max)
+    return (c for c in _canonical_ball(ambient, norm_sq_max) if approx_set.member(c))
+
+
 def _sublattice_ball(lat: Sublattice, norm_sq_max: int) -> list[tuple[int, ...]]:
     """All canonical nonzero lattice members with squared norm <= norm_sq_max.
 
@@ -302,10 +318,10 @@ def _x0_allowed(approx: ApproxSet, x0: int) -> bool:
 
 
 def _scan_candidates(target: TargetPoint, approx: ApproxSet,
-                     norm_sq_max: int) -> Iterable[tuple[int, ...]]:
-    """Pinned candidates for x_0 = 1, 2, ... in order: per coordinate, the
-    integers whose distance to (xi_k/xi_0) x_0 can be < 1/2 (floor/ceil,
-    nearest allowed)."""
+                     norm_sq_max: int) -> Iterable[tuple[int, tuple[int, ...]]]:
+    """(norm_sq, coords) of the pinned candidates for x_0 = 1, 2, ... in
+    order: per coordinate, the integers whose distance to (xi_k/xi_0) x_0
+    can be < 1/2 (floor/ceil, nearest allowed)."""
     n = target.n
     bits = _BASE_BITS
     rsnap = target.ratio_snapshot(bits)
@@ -325,10 +341,11 @@ def _scan_candidates(target: TargetPoint, approx: ApproxSet,
             axes.append(vals)
         if not ok:
             continue
-        budget = norm_sq_max - x0 * x0
+        x0_sq = x0 * x0
         for rest in product(*axes):
-            if sum(v * v for v in rest) <= budget:
-                yield (x0,) + rest
+            ns = x0_sq + sum(v * v for v in rest)
+            if ns <= norm_sq_max:
+                yield ns, (x0,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -438,25 +455,25 @@ def _stream_entries(comparator: _Comparator, approx_set: ApproxSet,
     bound_sq, to norm_sq_max with the pinned x_0 scan.
 
     Candidates at x_0 have norm >= x_0^2, so when the scan reaches x_0 every
-    heap group below x_0^2 is complete and is swept.  Only candidates the
+    heap group below x_0^2 is complete and is swept.  Only members of S the
     current record cannot already reject are pushed, so the heap holds few
-    points.  Processing order (and hence the result) matches a single sweep
-    of all candidates sorted by (norm, coordinates).
+    points; membership is tested last, on the filter's survivors only.
+    Processing order (and hence the result) matches a single sweep of all
+    members sorted by (norm, coordinates).
     """
     record = entries[-1]
     filt = _RecordFilter(comparator.target, record.point.coords)
     heap: list = []
     x0 = 0
-    for coords in _scan_candidates(comparator.target, approx_set, norm_sq_max):
+    for ns, coords in _scan_candidates(comparator.target, approx_set, norm_sq_max):
         if coords[0] != x0:
             x0 = coords[0]
             _sweep_below(heap, x0 * x0, entries, comparator)
             if entries[-1] is not record:
                 record = entries[-1]
                 filt.set_record(record.point.coords)
-        ns = sum(v * v for v in coords)
         # every member with norm_sq <= bound_sq was swept in the start region
-        if ns <= bound_sq or filt.loses(coords):
+        if ns <= bound_sq or filt.loses(coords) or not approx_set.member(coords):
             continue
         heapq.heappush(heap, (ns, coords))
     _sweep_below(heap, math.inf, entries, comparator)
@@ -480,32 +497,29 @@ def enumerate_minimal_points(target: TargetPoint, approx_set: ApproxSet,
     certified.
     """
     x_max, norm_sq_max = _validate_x_max(x_max)
+    if isinstance(approx_set, Sublattice) and approx_set.ambient != target.n + 1:
+        raise DomainError("sublattice ambient dimension does not match target")
     comparator = _Comparator(target, cap)
 
-    if isinstance(approx_set, Sublattice):
-        if approx_set.ambient != target.n + 1:
-            raise DomainError("sublattice ambient dimension does not match target")
-        cands = _sublattice_ball(approx_set, norm_sq_max)
-        if not cands:
-            raise EmptySet(f"no nonzero member of {approx_set!r} with norm <= {x_max}")
-        entries = _sweep(cands, comparator)
-        return MinimalPointSequence(target, approx_set, x_max, cap, entries, norm_sq_max)
-
-    # brute-force start region, grown until the record pins later candidates
-    bound_sq = min(64, norm_sq_max)
+    # brute-force start region, grown until the record pins later candidates:
+    # a later beater z then has z_0 >= 1 and |z_k - (xi_k/xi_0) z_0| < 1/2.
+    # Each growth sweeps only the new shell, continuing from the records of
+    # the complete groups below it.
+    entries: list[MinimalPointEntry] = []
+    swept_sq, bound_sq = 0, min(64, norm_sq_max)
     while True:
-        entries = _sweep((c for c in _canonical_ball(target.n + 1, bound_sq)
-                          if approx_set.member(c)), comparator)
+        heap = [(ns, c) for c in _members_in_ball(approx_set, target.n + 1, bound_sq)
+                if (ns := sum(v * v for v in c)) > swept_sq]
+        heapq.heapify(heap)
+        _sweep_below(heap, math.inf, entries, comparator)
         if entries and _record_is_small(target, entries[-1], cap):
             _stream_entries(comparator, approx_set, norm_sq_max, entries, bound_sq)
             break
         if bound_sq >= norm_sq_max:
             if not entries:
-                raise EmptySet(
-                    f"no nonzero member of the approximation set with norm <= {x_max}"
-                )
+                raise EmptySet(f"no nonzero member of {approx_set!r} with norm <= {x_max}")
             break
-        bound_sq = min(bound_sq * 4, norm_sq_max)
+        swept_sq, bound_sq = bound_sq, min(bound_sq * 4, norm_sq_max)
     return MinimalPointSequence(target, approx_set, x_max, cap, entries, norm_sq_max)
 
 
@@ -527,13 +541,14 @@ def brute_force_reference(target: TargetPoint, approx_set: ApproxSet,
 
 def _window_candidates(target: TargetPoint, approx_set: ApproxSet,
                        norm_sq_max: int, comparator: _Comparator) -> set[tuple[int, ...]]:
-    """Candidate superset for the windowed scan.
+    """Candidate superset for the windowed scan, for any approximation set.
 
     Any point that beats some record has L < L_start (the first record), hence
     every coordinate within |xi_0 x_k - xi_k x_0| <= L_start of the ray through
-    the target.  For each x_0 in [0, x_max] the full such window is enumerated,
-    so the set provably contains every record-beater; the complete
-    smallest-norm group of S is included for the start convention.
+    the target.  For each x_0 in [0, x_max] the full such window of Z^(n+1)
+    is enumerated and filtered by membership in S, so the set provably
+    contains every record-beater; the complete smallest-norm group of S is
+    included for the start convention.
     """
     x_max_str = f"{isqrt(norm_sq_max)}"
     bound_sq = 4
@@ -598,11 +613,10 @@ def _window_candidates(target: TargetPoint, approx_set: ApproxSet,
 
 def exhaustive_scan(target: TargetPoint, approx_set: ApproxSet,
                     x_max, cap: int = DEFAULT_ENUM_CAP) -> MinimalPointSequence:
-    """Windowed exhaustive scan, independent of the record-pinning argument."""
+    """Windowed exhaustive scan, independent of the record-pinning argument;
+    every kind of set S goes through the one window superset."""
     x_max, norm_sq_max = _validate_x_max(x_max)
     comparator = _Comparator(target, cap)
-    if isinstance(approx_set, Sublattice):
-        return brute_force_reference(target, approx_set, x_max, cap)
     cands = _window_candidates(target, approx_set, norm_sq_max, comparator)
     entries = _sweep(cands, comparator)
     return MinimalPointSequence(target, approx_set, x_max, cap, entries, norm_sq_max)
@@ -766,34 +780,6 @@ def verify_properties(seq: MinimalPointSequence) -> None:
                 f"{a.point.coords}")
 
 
-def _check_not_better(comparator: _Comparator, c: tuple[int, ...],
-                      e: MinimalPointEntry) -> int:
-    """compare(L(c), L(e)), raising PropertyViolated when c is better."""
-    cmp_ = comparator.compare(comparator.keys(c), e.branch_keys, c, e.point.coords)
-    if cmp_ < 0:
-        raise PropertyViolated(f"point {c} violates minimality of {e.point.coords}")
-    return cmp_
-
-
-def verify_annulus(seq: MinimalPointSequence, max_norm_sq: Optional[int] = None) -> int:
-    """Property (c) by brute force: scan each annulus (X_i, X_{i+1}) for a
-    point with L < L_i.  Returns the number of annuli checked."""
-    comparator = _Comparator(seq.target, seq.cap)
-    checked = 0
-    limit = max_norm_sq if max_norm_sq is not None else seq.norm_sq_max
-    for e, nxt in zip(seq.entries, seq.entries[1:]):
-        if nxt.norm_sq > limit:
-            break
-        for c in _canonical_ball(seq.target.n + 1, nxt.norm_sq - 1):
-            if sum(v * v for v in c) <= e.norm_sq:
-                continue
-            if not seq.approx_set.member(c):
-                continue
-            _check_not_better(comparator, c, e)
-        checked += 1
-    return checked
-
-
 def verify_minimality(seq: MinimalPointSequence) -> int:
     """Property (c) and the start convention up to x_max, over a candidate
     superset that provably contains every potential violator; raises
@@ -810,26 +796,22 @@ def verify_minimality(seq: MinimalPointSequence) -> int:
     comparator = _Comparator(seq.target, seq.cap)
     if not seq.entries:
         raise PropertyViolated("the sequence has no entries")
-    if isinstance(seq.approx_set, Sublattice):
-        cands = _sublattice_ball(seq.approx_set, seq.norm_sq_max)
-    else:
-        cands = _window_candidates(seq.target, seq.approx_set,
-                                   seq.norm_sq_max, comparator)
+    cands = _window_candidates(seq.target, seq.approx_set, seq.norm_sq_max, comparator)
     import bisect
 
     first = seq.entries[0]
     next_norms = [nxt.norm_sq for nxt in seq.entries[1:]]
     checked = 0
     for c in cands:
-        if not seq.approx_set.member(c):
-            continue
         ns = sum(v * v for v in c)
         if ns < first.norm_sq:
             raise PropertyViolated(
                 f"point {c} of S is shorter than the start point {first.point.coords}")
         i = bisect.bisect_right(next_norms, ns)
         e = seq.entries[i]
-        cmp_ = _check_not_better(comparator, c, e)
+        cmp_ = comparator.compare(comparator.keys(c), e.branch_keys, c, e.point.coords)
+        if cmp_ < 0:
+            raise PropertyViolated(f"point {c} violates minimality of {e.point.coords}")
         if cmp_ == 0 and ns == first.norm_sq and c < first.point.coords:
             raise PropertyViolated(
                 f"point {c} ties the start point {first.point.coords} in norm "

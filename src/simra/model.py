@@ -112,7 +112,9 @@ class Sublattice(ApproxSet):
     kind = "sublattice"
 
     def __init__(self, basis: Sequence[Sequence[int]]):
-        vecs = [tuple(int(v) for v in row) for row in basis]
+        if not all(isinstance(v, int) for row in basis for v in row):
+            raise DomainError("sublattice basis entries must be integers")
+        vecs = [tuple(row) for row in basis]
         if not vecs:
             raise DomainError("sublattice basis must be nonempty")
         dim = len(vecs[0])
@@ -295,7 +297,7 @@ def _coord_from_doc(doc) -> RigorousReal:
     raise SchemaError(f"unknown coordinate type {t!r}")
 
 
-def _approx_set_from_doc(doc) -> ApproxSet:
+def _approx_set_from_doc(doc, n: int) -> ApproxSet:
     if doc is None:
         return FullLattice()
     if not isinstance(doc, dict) or "type" not in doc:
@@ -312,18 +314,24 @@ def _approx_set_from_doc(doc) -> ApproxSet:
         if not isinstance(res, dict):
             raise SchemaError("'residues' must map coordinate index to residue list")
         try:
-            residues = {int(k): [int(r) for r in v] for k, v in res.items()}
-        except (TypeError, ValueError) as e:
+            residues = {int(k): v for k, v in res.items()}
+        except ValueError as e:
             raise SchemaError(f"bad residues: {e}") from None
+        for k, v in residues.items():
+            if not 0 <= k <= n:
+                raise SchemaError(f"residue index {k} is outside 0..{n}")
+            if not isinstance(v, list) or not all(isinstance(r, int) for r in v):
+                raise SchemaError(f"residues of coordinate {k} must be a list of integers")
         try:
             return CongruenceSet(doc["modulus"], residues)
         except DomainError as e:
             raise SchemaError(str(e)) from None
     if t == "sublattice":
-        if "basis" not in doc or not isinstance(doc["basis"], list):
-            raise SchemaError("sublattice set needs a 'basis' list")
+        basis = doc.get("basis")
+        if not isinstance(basis, list) or not all(isinstance(row, list) for row in basis):
+            raise SchemaError("sublattice set needs a 'basis' list of integer lists")
         try:
-            return Sublattice(doc["basis"])
+            return Sublattice(basis)
         except (DomainError, AmbientMismatch) as e:
             raise SchemaError(str(e)) from None
     raise SchemaError(f"unknown approximation-set type {t!r}")
@@ -343,7 +351,7 @@ def load_target(doc: dict) -> tuple[TargetPoint, ApproxSet]:
             f"expected {doc['n'] + 1} coordinates for n={doc['n']}, got {len(coords_doc)}"
         )
     coords = [_coord_from_doc(c) for c in coords_doc]
-    approx = _approx_set_from_doc(doc.get("S"))
+    approx = _approx_set_from_doc(doc.get("S"), doc["n"])
     if isinstance(approx, Sublattice) and approx.ambient != doc["n"] + 1:
         raise SchemaError(
             f"sublattice ambient dimension {approx.ambient} != n+1 = {doc['n'] + 1}"

@@ -25,7 +25,6 @@ from simra.minpoints import (
     envelope_at_norm_sq,
     exhaustive_scan,
     read_csv,
-    verify_annulus,
     verify_minimality,
     verify_properties,
     write_csv,
@@ -135,7 +134,7 @@ def test_oracle_agreement_small(sqrt2):
 
 
 def test_annulus_and_minimality(sqrt2_seq_30):
-    assert verify_annulus(sqrt2_seq_30) == 4
+    # property (c) on every annulus (X_i, X_{i+1}) and past the last record
     assert verify_minimality(sqrt2_seq_30) > 0
 
 
@@ -165,6 +164,48 @@ def test_oracles_agree_on_random_sublattices(sqrt2):
         approx = model.Sublattice([(rng.randint(1, 4), rng.randint(0, d - 1)), (0, d)])
         fast = enumerate_minimal_points(target, approx, 120)
         assert brute_force_reference(target, approx, 120).points() == fast.points(), approx
+        assert exhaustive_scan(target, approx, 120).points() == fast.points(), approx
+
+
+@pytest.mark.parametrize("basis", [
+    [(1, 1, 1)],                    # rank 1: the record never pins later points
+    [(1, 1, 1), (0, 1, 2)],         # rank 2, through (1, 1, 1)
+    [(0, 1, 0), (0, 0, 1)],         # rank 2, x_0 = 0 only
+    [(2, 1, 0), (0, 1, 1), (0, 0, 3)],
+])
+def test_oracles_agree_on_sublattices_of_z3(cubic, basis):
+    target, _ = cubic
+    approx = model.Sublattice(basis)
+    fast = enumerate_minimal_points(target, approx, 25)
+    assert all(approx.member(p) for p in fast.points())
+    assert brute_force_reference(target, approx, 25).points() == fast.points()
+    assert exhaustive_scan(target, approx, 25).points() == fast.points()
+    verify_properties(fast)
+    verify_minimality(fast)
+
+
+def test_sublattice_ball_only_feeds_the_start_region(sqrt2, monkeypatch):
+    # the enumerator reaches the sublattice's own ball only until its record
+    # pins later candidates; the oracle and the verifier never use it
+    target, _ = sqrt2
+    approx = model.Sublattice([(2, 1), (0, 3)])
+    ball = minpoints._sublattice_ball
+    asked = []
+
+    def recording_ball(lat, norm_sq_max):
+        asked.append(norm_sq_max)
+        return ball(lat, norm_sq_max)
+
+    monkeypatch.setattr(minpoints, "_sublattice_ball", recording_ball)
+    seq = enumerate_minimal_points(target, approx, 400)
+    assert 0 < max(asked) <= 1024 < 400 ** 2
+
+    def no_ball(lat, norm_sq_max):
+        raise AssertionError("an oracle reached the enumerator's candidate generator")
+
+    monkeypatch.setattr(minpoints, "_sublattice_ball", no_ball)
+    assert exhaustive_scan(target, approx, 400).points() == seq.points()
+    assert verify_minimality(seq) > 0
 
 
 def test_csv_export(sqrt2_seq_30):
@@ -198,7 +239,7 @@ def test_cubic_small_oracle(cubic):
     fast = enumerate_minimal_points(target, approx, 60)
     brute = brute_force_reference(target, approx, 60)
     assert fast.points() == brute.points()
-    assert verify_annulus(fast, max_norm_sq=60 * 60) == len(fast) - 1
+    assert verify_minimality(fast) > 0
 
 
 def test_decimal_targets_work_at_data_precision():

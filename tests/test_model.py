@@ -205,6 +205,21 @@ def test_load_target_schema_errors():
             load_target(doc)
 
 
+@pytest.mark.parametrize("S, message", [
+    ({"type": "congruence", "modulus": 2, "residues": {"5": [0]}}, "residue index 5"),
+    ({"type": "congruence", "modulus": 2, "residues": {"-1": [0]}}, "residue index -1"),
+    ({"type": "congruence", "modulus": 2, "residues": {"0": [0.9]}}, "list of integers"),
+    ({"type": "sublattice", "basis": [[2.7, 1], [0, 3]]}, "entries must be integers"),
+    ({"type": "sublattice", "basis": [1, 2]}, "list of integer lists"),
+])
+def test_set_configs_are_not_truncated(S, message):
+    # each of these used to load as a different set (the full lattice, a
+    # residue or basis entry rounded toward zero) or crash with a TypeError
+    doc = dict(SQRT2_DOC, S=S)
+    with pytest.raises(SchemaError, match=message):
+        load_target(doc)
+
+
 def test_ratio_cache():
     target, _ = load_target(SQRT2_DOC)
     r = target.ratio(1)
