@@ -10,17 +10,16 @@ together with the start convention: the sequence begins at the canonical
 point of smallest norm achieving the minimal L among nonzero members of S of
 that norm, ties in norm broken lexicographically.
 
-The fast enumerator scans x_0 = 1, 2, ...: once the running record satisfies
-L < |xi_0| / 2, any further record-beater must have each x_k within 1/2 of
-(xi_k/xi_0) x_0, so only the floor/ceil (nearest-allowed) values per
-coordinate can compete.  The argument holds for every approximation set,
-so all sets share one path: a brute-force start region over the members of
-S, grown until the record is that small, then the pinned scan.  Two
-independent cross-checks are kept, both filtering canonical points of
-Z^(n+1) by membership in S: a literal scan of every canonical point (small
-X only) and a windowed scan whose per-coordinate windows are sized by the
-first record, which provably contain every point able to beat any later
-record.
+The fast enumerator takes the members of S in the smallest ball of radius
+1, 2, 4, ... that holds one, then scans x_0 = 0, 1, ...: at each x_0 the
+current record bounds every x_k to a window around (xi_k/xi_0) x_0 outside
+which a point is certifiably worse than the record, and the set lists its
+own members in those windows (ApproxSet.box_members).  Every approximation
+set takes this one path.  Two independent cross-checks are kept, both
+filtering canonical points of Z^(n+1) by membership in S: a literal scan
+of every canonical point (small X only) and a windowed scan whose
+per-coordinate windows are sized by the first record, which provably
+contain every point able to beat any later record.
 
 All record comparisons are certified: branch values are tracked symbolically
 (so exact ties between branches are recognized, not fought numerically) and
@@ -236,62 +235,6 @@ def _canonical_ball(ambient: int, norm_sq_max: int) -> Iterable[tuple[int, ...]]
     yield from rec([], norm_sq_max, False)
 
 
-def _members_in_ball(approx_set: ApproxSet, ambient: int,
-                     norm_sq_max: int) -> Iterable[tuple[int, ...]]:
-    """Every canonical nonzero member of S with squared norm <= norm_sq_max.
-
-    A sublattice's members are generated from its basis: a rank-deficient
-    lattice's record may never pin later candidates, so its start region
-    can run to x_max, where the ball of Z^(n+1) would be far larger.
-    """
-    if isinstance(approx_set, Sublattice):
-        return _sublattice_ball(approx_set, norm_sq_max)
-    return (c for c in _canonical_ball(ambient, norm_sq_max) if approx_set.member(c))
-
-
-def _sublattice_ball(lat: Sublattice, norm_sq_max: int) -> list[tuple[int, ...]]:
-    """All canonical nonzero lattice members with squared norm <= norm_sq_max.
-
-    Coefficients are boxed through the dual basis: c_i = u_i . x with
-    u_i the rows of (B^T B)^{-1} B^T, so |c_i| <= ||u_i|| ||x||.
-    """
-    basis = lat.basis
-    k, amb = len(basis), lat.ambient
-    gram = [[sum(basis[i][t] * basis[j][t] for t in range(amb)) for j in range(k)]
-            for i in range(k)]
-    # invert the Gram matrix over Q
-    aug = [[Fraction(gram[i][j]) for j in range(k)] +
-           [Fraction(1 if j == i else 0) for j in range(k)] for i in range(k)]
-    for col in range(k):
-        piv = next(r for r in range(col, k) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    ginv = [row[k:] for row in aug]
-    bounds = []
-    for i in range(k):
-        u = [sum(ginv[i][j] * basis[j][t] for j in range(k)) for t in range(amb)]
-        nsq = sum(v * v for v in u)
-        bounds.append(isqrt(int(nsq * norm_sq_max)) + 1)
-    # x = Bc with B injective, so c and -c are the only preimages of x and
-    # -x: a positive first nonzero coefficient yields each pair once
-    out = []
-    for lead in range(k):
-        tails = [range(-b, b + 1) for b in bounds[lead + 1:]]
-        for c_lead in range(1, bounds[lead] + 1):
-            for rest in product(*tails):
-                cs = (c_lead,) + rest
-                x = tuple(sum(c * basis[lead + j][t] for j, c in enumerate(cs))
-                          for t in range(amb))
-                if sum(v * v for v in x) <= norm_sq_max:
-                    out.append(model.IntegerPoint.canonical(x).coords)
-    return out
-
-
 def _allowed_range(approx: ApproxSet, index: int, lo: int, hi: int) -> list[int]:
     """Allowed integer values in a window, widened to the nearest allowed
     neighbours outside it so that allowed-floor/allowed-ceil are always in."""
@@ -315,37 +258,6 @@ def _x0_allowed(approx: ApproxSet, x0: int) -> bool:
     if isinstance(approx, CongruenceSet):
         return approx.allowed(0, x0)
     return True
-
-
-def _scan_candidates(target: TargetPoint, approx: ApproxSet,
-                     norm_sq_max: int) -> Iterable[tuple[int, tuple[int, ...]]]:
-    """(norm_sq, coords) of the pinned candidates for x_0 = 1, 2, ... in
-    order: per coordinate, the integers whose distance to (xi_k/xi_0) x_0
-    can be < 1/2 (floor/ceil, nearest allowed)."""
-    n = target.n
-    bits = _BASE_BITS
-    rsnap = target.ratio_snapshot(bits)
-    for x0 in range(1, isqrt(norm_sq_max) + 1):
-        if not _x0_allowed(approx, x0):
-            continue
-        axes = []
-        ok = True
-        for k in range(1, n + 1):
-            rlo, rhi = rsnap[k - 1]
-            tlo = (rlo * x0) >> bits
-            thi = (rhi * x0) >> bits
-            vals = _allowed_range(approx, k, tlo, thi + 1)
-            if not vals:
-                ok = False
-                break
-            axes.append(vals)
-        if not ok:
-            continue
-        x0_sq = x0 * x0
-        for rest in product(*axes):
-            ns = x0_sq + sum(v * v for v in rest)
-            if ns <= norm_sq_max:
-                yield ns, (x0,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -401,82 +313,71 @@ def _sweep(candidates: Iterable[tuple[int, ...]],
     return entries
 
 
-def _record_is_small(target: TargetPoint, entry: MinimalPointEntry, cap: int) -> bool:
-    """Certified L(record) < |xi_0| / 2, the bound that pins later beaters."""
-    half = abs(target.coords[0]) / 2
-    return rigorous.compare(entry.l_value, half, cap) is rigorous.Comparison.LESS
+def _record_bound(rsnap: list[tuple[int, int]], coords: tuple[int, ...]) -> int:
+    """Upper bound of 2^64 max_k |x_k - (xi_k/xi_0) x_0| for the record,
+    from the dyadic ratio snapshot rsnap."""
+    x0 = coords[0]
+    worst = 0
+    for (rlo, rhi), xk in zip(rsnap, coords[1:]):
+        xkb = xk << _BASE_BITS
+        worst = max(worst, abs(xkb - rlo * x0), abs(xkb - rhi * x0))
+    return worst
 
 
-class _RecordFilter:
-    """Certified integer pre-test against the current record.
+def _scan_entries(comparator: _Comparator, approx_set: ApproxSet,
+                  norm_sq_max: int, entries: list[MinimalPointEntry],
+                  bound_sq: int) -> None:
+    """Extend the start records, complete up to squared norm bound_sq, to
+    norm_sq_max by scanning x_0 = 0, 1, ... through the record windows.
 
-    Both sides come from one dyadic ratio snapshot: a lower bound of
-    max_k |x_k - (xi_k/xi_0) x_0| for the candidate, an upper bound of the
-    same quantity for the record.  A candidate is dropped only when the
-    bounds prove it strictly worse than the record, so the sweep result
-    does not depend on the filter; it only keeps certain losers away from
-    the comparator.
-    """
+    With rec_hi the record's bound and [r_lo, r_hi] / 2^64 enclosing
+    xi_k/xi_0, a point at x_0 whose x_k lies outside
 
-    __slots__ = ("rsnap", "rec_hi")
+        [ceil((r_lo x_0 - rec_hi) / 2^64), floor((r_hi x_0 + rec_hi) / 2^64)]
 
-    def __init__(self, target: TargetPoint, record: tuple[int, ...]):
-        self.rsnap = target.ratio_snapshot(_BASE_BITS)
-        self.set_record(record)
-
-    def loses(self, coords: tuple[int, ...]) -> bool:
-        rec_hi = self.rec_hi
-        x0 = coords[0]
-        k = 1
-        for rlo, rhi in self.rsnap:
-            xkb = coords[k] << _BASE_BITS
-            if xkb - rhi * x0 > rec_hi or rlo * x0 - xkb > rec_hi:
-                return True
-            k += 1
-        return False
-
-    def set_record(self, coords: tuple[int, ...]) -> None:
-        x0 = coords[0]
-        worst = 0
-        k = 1
-        for rlo, rhi in self.rsnap:
-            xkb = coords[k] << _BASE_BITS
-            hi_k = max(abs(xkb - rlo * x0), abs(xkb - rhi * x0))
-            if hi_k > worst:
-                worst = hi_k
-            k += 1
-        self.rec_hi = worst
-
-
-def _stream_entries(comparator: _Comparator, approx_set: ApproxSet,
-                    norm_sq_max: int, entries: list[MinimalPointEntry],
-                    bound_sq: int) -> None:
-    """Extend the start-region records, complete up to squared norm
-    bound_sq, to norm_sq_max with the pinned x_0 scan.
-
-    Candidates at x_0 have norm >= x_0^2, so when the scan reaches x_0 every
-    heap group below x_0^2 is complete and is swept.  Only members of S the
-    current record cannot already reject are pushed, so the heap holds few
-    points; membership is tested last, on the filter's survivors only.
-    Processing order (and hence the result) matches a single sweep of all
+    has |x_k - (xi_k/xi_0) x_0| certifiably above the record's error, so it
+    is strictly worse than the record; records only improve, so a point left
+    out stays out.  Candidates at x_0 have norm >= x_0^2, so when the scan
+    reaches x_0 every heap group below x_0^2 is complete and is swept first,
+    and the windows come from the freshest record.  The set lists its own
+    members in the windows; the heap holds only canonical ones, and the
+    processing order (hence the result) matches a single sweep of all
     members sorted by (norm, coordinates).
     """
-    record = entries[-1]
-    filt = _RecordFilter(comparator.target, record.point.coords)
+    rsnap = comparator.target.ratio_snapshot(_BASE_BITS)
+    zero = (0,) * (len(rsnap) + 1)
     heap: list = []
-    x0 = 0
-    for ns, coords in _scan_candidates(comparator.target, approx_set, norm_sq_max):
-        if coords[0] != x0:
-            x0 = coords[0]
-            _sweep_below(heap, x0 * x0, entries, comparator)
-            if entries[-1] is not record:
-                record = entries[-1]
-                filt.set_record(record.point.coords)
-        # every member with norm_sq <= bound_sq was swept in the start region
-        if ns <= bound_sq or filt.loses(coords) or not approx_set.member(coords):
-            continue
-        heapq.heappush(heap, (ns, coords))
+    record = None
+    for x0 in range(isqrt(norm_sq_max) + 1):
+        _sweep_below(heap, x0 * x0, entries, comparator)
+        if entries[-1] is not record:
+            record = entries[-1]
+            rec_hi = _record_bound(rsnap, record.point.coords)
+        windows = []
+        for rlo, rhi in rsnap:
+            lo = -((rec_hi - rlo * x0) >> _BASE_BITS)
+            hi = (rhi * x0 + rec_hi) >> _BASE_BITS
+            if lo > hi:
+                break
+            windows.append((lo, hi))
+        else:
+            for c in approx_set.box_members(x0, windows):
+                # c > zero: canonical, which only x_0 = 0 can fail
+                if c > zero and bound_sq < (ns := sum(v * v for v in c)) <= norm_sq_max:
+                    heapq.heappush(heap, (ns, c))
     _sweep_below(heap, math.inf, entries, comparator)
+
+
+def _check_set(target: TargetPoint, approx_set: ApproxSet) -> None:
+    """DomainError unless S constrains only the coordinates 0..n of the target."""
+    if isinstance(approx_set, Sublattice) and approx_set.ambient != target.n + 1:
+        raise DomainError(f"{approx_set!r} has ambient dimension {approx_set.ambient}, "
+                          f"the target {target.n + 1}")
+    if isinstance(approx_set, CongruenceSet):
+        for k in approx_set.residues:
+            if not 0 <= k <= target.n:
+                raise DomainError(f"residue index {k} of {approx_set!r} is outside "
+                                  f"0..{target.n}")
 
 
 def _validate_x_max(x_max) -> tuple[Fraction, int]:
@@ -497,29 +398,25 @@ def enumerate_minimal_points(target: TargetPoint, approx_set: ApproxSet,
     certified.
     """
     x_max, norm_sq_max = _validate_x_max(x_max)
-    if isinstance(approx_set, Sublattice) and approx_set.ambient != target.n + 1:
-        raise DomainError("sublattice ambient dimension does not match target")
+    _check_set(target, approx_set)
     comparator = _Comparator(target, cap)
 
-    # brute-force start region, grown until the record pins later candidates:
-    # a later beater z then has z_0 >= 1 and |z_k - (xi_k/xi_0) z_0| < 1/2.
-    # Each growth sweeps only the new shell, continuing from the records of
-    # the complete groups below it.
-    entries: list[MinimalPointEntry] = []
-    swept_sq, bound_sq = 0, min(64, norm_sq_max)
+    # the start: the members of S in the smallest ball of radius r = 1, 2,
+    # 4, ... that holds one, swept completely; the scan takes over past r
+    zero = (0,) * (target.n + 1)
+    r = 1
     while True:
-        heap = [(ns, c) for c in _members_in_ball(approx_set, target.n + 1, bound_sq)
-                if (ns := sum(v * v for v in c)) > swept_sq]
-        heapq.heapify(heap)
-        _sweep_below(heap, math.inf, entries, comparator)
-        if entries and _record_is_small(target, entries[-1], cap):
-            _stream_entries(comparator, approx_set, norm_sq_max, entries, bound_sq)
+        bound_sq = min(r * r, norm_sq_max)
+        ball = [c for x0 in range(r + 1)
+                for c in approx_set.box_members(x0, [(-r, r)] * target.n)
+                if c > zero and sum(v * v for v in c) <= bound_sq]
+        if ball:
             break
-        if bound_sq >= norm_sq_max:
-            if not entries:
-                raise EmptySet(f"no nonzero member of {approx_set!r} with norm <= {x_max}")
-            break
-        swept_sq, bound_sq = bound_sq, min(bound_sq * 4, norm_sq_max)
+        if bound_sq == norm_sq_max:
+            raise EmptySet(f"no nonzero member of {approx_set!r} with norm <= {x_max}")
+        r *= 2
+    entries = _sweep(ball, comparator)
+    _scan_entries(comparator, approx_set, norm_sq_max, entries, bound_sq)
     return MinimalPointSequence(target, approx_set, x_max, cap, entries, norm_sq_max)
 
 
@@ -530,6 +427,7 @@ def brute_force_reference(target: TargetPoint, approx_set: ApproxSet,
                           x_max, cap: int = DEFAULT_ENUM_CAP) -> MinimalPointSequence:
     """Literal scan of every canonical point of norm <= x_max.  Small X only."""
     x_max, norm_sq_max = _validate_x_max(x_max)
+    _check_set(target, approx_set)
     comparator = _Comparator(target, cap)
     cands = [c for c in _canonical_ball(target.n + 1, norm_sq_max)
              if approx_set.member(c)]
@@ -616,6 +514,7 @@ def exhaustive_scan(target: TargetPoint, approx_set: ApproxSet,
     """Windowed exhaustive scan, independent of the record-pinning argument;
     every kind of set S goes through the one window superset."""
     x_max, norm_sq_max = _validate_x_max(x_max)
+    _check_set(target, approx_set)
     comparator = _Comparator(target, cap)
     cands = _window_candidates(target, approx_set, norm_sq_max, comparator)
     entries = _sweep(cands, comparator)
@@ -728,6 +627,7 @@ def read_csv(target: TargetPoint, approx_set: ApproxSet, x_max, cap: int,
     import csv
 
     x_max, norm_sq_max = _validate_x_max(x_max)
+    _check_set(target, approx_set)
     name = getattr(fileobj, "name", "the minimal-point CSV")
     header = _csv_header(target.n)
     reader = csv.reader(fileobj)

@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from itertools import product
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from . import rigorous
+from . import rigorous, subspaces
 from .errors import AmbientMismatch, DomainError, SchemaError, ZeroPoint
 from .rigorous import RigorousReal
 
@@ -54,6 +55,15 @@ class ApproxSet:
 
     def member(self, coords: Sequence[int]) -> bool:
         raise NotImplementedError
+
+    def box_members(self, x0: int, windows: Sequence[tuple[int, int]]
+                    ) -> Iterator[tuple[int, ...]]:
+        """Every member (x0, x_1, ..., x_n) with each x_k in windows[k-1],
+        a closed range [lo, hi] (empty when lo > hi), each once."""
+        for rest in product(*(range(lo, hi + 1) for lo, hi in windows)):
+            coords = (x0,) + rest
+            if self.member(coords):
+                yield coords
 
     def describe(self) -> dict:
         raise NotImplementedError
@@ -145,6 +155,9 @@ class Sublattice(ApproxSet):
             solve.append((tuple(int(v * d) for v in row[k:]), d))
         self._coeff_rows = tuple(solve[:k])
         self._span_rows = tuple(u for u, _ in solve[k:])
+        # (pivot column, row) of the Hermite form: echelon, positive pivots
+        self._echelon = tuple((next(j for j, v in enumerate(row) if v), tuple(row))
+                              for row in subspaces._row_hnf([list(v) for v in vecs]))
 
     def member(self, coords: Sequence[int]) -> bool:
         if len(coords) != self.ambient:
@@ -158,6 +171,36 @@ class Sublattice(ApproxSet):
             if sum(a * b for a, b in zip(u, coords)) % d:
                 return False
         return True
+
+    def box_members(self, x0: int, windows: Sequence[tuple[int, int]]
+                    ) -> Iterator[tuple[int, ...]]:
+        """The members in the box, from the echelon basis column by column:
+        a pivot column admits one residue class of values (its row's
+        coefficient), any other column the one value the rows above fix."""
+        box = [(x0, x0), *windows]
+        if len(box) != self.ambient:
+            raise AmbientMismatch(
+                f"box has dimension {len(box)}, lattice ambient is {self.ambient}")
+        rows = self._echelon
+
+        def walk(t: int, acc: list[int], col: int):
+            # columns before col lie in the box; rows t.. only change columns
+            # from their pivots on
+            stop = rows[t][0] if t < len(rows) else len(box)
+            for j in range(col, stop):
+                lo, hi = box[j]
+                if not lo <= acc[j] <= hi:
+                    return
+            if t == len(rows):
+                yield tuple(acc)
+                return
+            p, row = rows[t]
+            lo, hi = box[p]
+            d = row[p]
+            for c in range(-((acc[p] - lo) // d), (hi - acc[p]) // d + 1):
+                yield from walk(t + 1, [a + c * b for a, b in zip(acc, row)], p + 1)
+
+        yield from walk(0, [0] * len(box), 0)
 
     def describe(self) -> dict:
         return {"type": "sublattice", "basis": [list(v) for v in self.basis]}

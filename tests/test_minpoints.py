@@ -184,28 +184,60 @@ def test_oracles_agree_on_sublattices_of_z3(cubic, basis):
     verify_minimality(fast)
 
 
-def test_sublattice_ball_only_feeds_the_start_region(sqrt2, monkeypatch):
-    # the enumerator reaches the sublattice's own ball only until its record
-    # pins later candidates; the oracle and the verifier never use it
+def test_oracles_do_not_list_members_through_the_set(sqrt2, monkeypatch):
+    # the enumerator's candidates come from box_members; the oracle and the
+    # verifier filter points of Z^(n+1) by membership and never call it
     target, _ = sqrt2
     approx = model.Sublattice([(2, 1), (0, 3)])
-    ball = minpoints._sublattice_ball
-    asked = []
-
-    def recording_ball(lat, norm_sq_max):
-        asked.append(norm_sq_max)
-        return ball(lat, norm_sq_max)
-
-    monkeypatch.setattr(minpoints, "_sublattice_ball", recording_ball)
     seq = enumerate_minimal_points(target, approx, 400)
-    assert 0 < max(asked) <= 1024 < 400 ** 2
 
-    def no_ball(lat, norm_sq_max):
+    def no_box(self, x0, windows):
         raise AssertionError("an oracle reached the enumerator's candidate generator")
 
-    monkeypatch.setattr(minpoints, "_sublattice_ball", no_ball)
+    monkeypatch.setattr(model.ApproxSet, "box_members", no_box)
+    monkeypatch.setattr(model.Sublattice, "box_members", no_box)
+    assert brute_force_reference(target, approx, 400).points() == seq.points()
     assert exhaustive_scan(target, approx, 400).points() == seq.points()
     assert verify_minimality(seq) > 0
+
+
+@pytest.mark.parametrize("basis, want", [
+    ([(0, 1, 0), (0, 0, 1)], [(0, 0, 1)]),  # x_0 = 0 only: L = |xi_0| max(|x_1|, |x_2|)
+    ([(1, 0, 0), (0, 1, 0)], [(0, 1, 0)]),  # x_2 = 0: L >= xi_2 |x_0| > 1 for x_0 != 0
+])
+def test_rank_deficient_sublattices_at_large_x(cubic, basis, want):
+    # the record never drops below |xi_0| / 2: the scan alone must stay cheap
+    target, _ = cubic
+    approx = model.Sublattice(basis)
+    seq = enumerate_minimal_points(target, approx, 2000)
+    assert seq.points() == want
+    assert exhaustive_scan(target, approx, 2000).points() == want
+    verify_minimality(seq)
+
+
+@pytest.mark.parametrize("preset, v, x_max", [
+    ("sqrt2", (1, 1000), 10 ** 5),
+    ("cbrt2", (1, 30, 40), 10 ** 4),
+])
+def test_rank_one_sublattice_is_its_generator(preset, v, x_max):
+    # L(k v) = k L(v), so no later multiple beats v
+    target, _ = presets.load_preset(preset)
+    assert enumerate_minimal_points(target, model.Sublattice([v]), x_max).points() == [v]
+
+
+@pytest.mark.parametrize("approx", [
+    model.CongruenceSet(2, {5: [0]}),
+    model.CongruenceSet(2, {-1: [0]}),
+    model.Sublattice([(1, 0, 0), (0, 1, 0)]),
+], ids=repr)
+@pytest.mark.parametrize("entry", [
+    enumerate_minimal_points, brute_force_reference, exhaustive_scan,
+    lambda target, approx, x_max: read_csv(target, approx, x_max, 4096, io.StringIO()),
+], ids=["enumerate", "brute_force", "exhaustive_scan", "read_csv"])
+def test_sets_outside_the_target_dimension_rejected(sqrt2, approx, entry):
+    target, _ = sqrt2
+    with pytest.raises(DomainError):
+        entry(target, approx, 30)
 
 
 def test_csv_export(sqrt2_seq_30):
@@ -313,12 +345,3 @@ def test_csv_round_trip(doc, x_max):
     again = io.StringIO()
     write_csv(back, again)
     assert again.getvalue() == buf.getvalue()
-
-
-def test_sublattice_ball_yields_each_point_once():
-    for basis in ([(2, 1), (0, 3)], [(1, 0), (0, 1)], [(3, 1, 0), (0, 2, 1)]):
-        lat = model.Sublattice(basis)
-        ball = minpoints._sublattice_ball(lat, 200)
-        assert len(ball) == len(set(ball))
-        want = {c for c in minpoints._canonical_ball(lat.ambient, 200) if lat.member(c)}
-        assert set(ball) == want

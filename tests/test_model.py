@@ -8,6 +8,7 @@ import pytest
 from simra import rigorous
 from simra.errors import AmbientMismatch, DomainError, SchemaError, ZeroPoint
 from simra.model import (
+    ApproxSet,
     CongruenceSet,
     FullLattice,
     IntegerPoint,
@@ -103,6 +104,31 @@ def test_sublattice_member_matches_elimination():
             assert lat.member(x) == member_by_elimination(basis, x), (basis, x)
     with pytest.raises(AmbientMismatch):
         Sublattice([(2, 0), (0, 1)]).member((1, 2, 3))
+
+
+def test_sublattice_box_members_match_membership_filter():
+    rng = random.Random(5)
+    bases = 0
+    while bases < 60:
+        ambient = rng.randint(2, 4)
+        k = rng.randint(1, ambient)  # k < ambient: a lattice in a proper subspace
+        basis = [[rng.randint(-4, 4) for _ in range(ambient)] for _ in range(k)]
+        try:
+            lat = Sublattice(basis)
+        except DomainError:
+            continue
+        bases += 1
+        for _ in range(10):
+            x0 = rng.randint(-6, 6)
+            windows = []
+            for _ in range(ambient - 1):
+                lo = rng.randint(-7, 5)
+                windows.append((lo, lo + rng.randint(-1, 6)))  # hi = lo - 1: empty
+            got = list(lat.box_members(x0, windows))
+            assert len(got) == len(set(got)), (basis, x0, windows)
+            # the base class: every box point filtered by member
+            want = list(ApproxSet.box_members(lat, x0, windows))
+            assert sorted(got) == want, (basis, x0, windows)
 
 
 def test_target_requires_nonzero_first_coordinate():
