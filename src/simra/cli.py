@@ -11,7 +11,8 @@ All decimal output is fixed at 15 significant digits and dictionary keys are
 sorted, so identical flags give byte-identical files.  Module errors exit
 nonzero after printing a one-object error JSON to stdout.
 
-Environment: SIMRA_PRECISION_CAP overrides the certified-refinement bit cap.
+Environment: SIMRA_PRECISION_CAP sets the one precision cap in bits (default
+4096); `enumerate` records the cap in force in the manifest.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import (construction, minpoints, model, presets, reporting, spectra,
-               subspaces, transference)
+from . import (construction, minpoints, model, presets, reporting, rigorous,
+               spectra, subspaces, transference)
 from .errors import DomainError, SchemaError, SimraError
 from .reporting import format_significant, json_canonical, sha256_hex
 
@@ -95,11 +96,11 @@ def _config_doc(args) -> dict:
 
 
 def _cmd_enumerate(args) -> int:
+    cap = rigorous.precision_cap()
     doc = _config_doc(args)
     target, approx = model.load_target(doc)
     x_max = Fraction(args.xmax)
-    seq = minpoints.enumerate_minimal_points(target, approx, x_max,
-                                             cap=args.cap)
+    seq = minpoints.enumerate_minimal_points(target, approx, x_max)
     os.makedirs(args.out, exist_ok=True)
     buf = io.StringIO()
     minpoints.write_csv(seq, buf)
@@ -109,7 +110,7 @@ def _cmd_enumerate(args) -> int:
         "command": "enumerate",
         "config": doc,
         "xMax": str(x_max),
-        "cap": args.cap,
+        "cap": cap,
         "entries": len(seq.entries),
         "files": {POINTS_CSV: digest},
     }
@@ -128,7 +129,7 @@ def _load_run(run_dir: str):
     re-certifies the sequence.
     """
     manifest = _read_manifest(run_dir)
-    for key in ("config", "xMax", "cap", "entries"):
+    for key in ("config", "xMax", "entries"):
         if key not in manifest:
             raise SchemaError(f"manifest lacks {key!r}")
     target, approx = model.load_target(manifest["config"])
@@ -149,8 +150,7 @@ def _load_run(run_dir: str):
     except UnicodeDecodeError as e:
         raise SchemaError(f"{csv_path} is not UTF-8: {e}") from None
     text.name = csv_path
-    seq = minpoints.read_csv(target, approx, Fraction(manifest["xMax"]),
-                             manifest["cap"], text)
+    seq = minpoints.read_csv(target, approx, Fraction(manifest["xMax"]), text)
     if len(seq.entries) != manifest["entries"]:
         raise SchemaError(f"{csv_path} has {len(seq.entries)} rows, the manifest "
                           f"records {manifest['entries']} entries")
@@ -256,7 +256,7 @@ def _cmd_transfer(args) -> int:
     digest = _write_text(os.path.join(args.run, name),
                          json_canonical(_fixed(report)))
     _update_manifest(args.run, manifest, name, digest)
-    sys.stdout.write(f"sandwich holds on {report['gridCount']} grid points; "
+    sys.stdout.write(f"sandwich holds on every envelope step up to X = {seq.x_max}; "
                      f"empirical floor of the top product "
                      f"{format_significant(report['empiricalC'])}\n")
     return 0
@@ -419,8 +419,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="named built-in target")
     e.add_argument("--xmax", required=True, help="norm bound (rational)")
     e.add_argument("--out", required=True, help="run directory to create")
-    e.add_argument("--cap", type=int, default=minpoints.DEFAULT_ENUM_CAP,
-                   help="tie-resolution precision cap in bits")
     e.set_defaults(func=_cmd_enumerate)
 
     x = sub.add_parser("exponents", help="estimate the exponent pair from a run")

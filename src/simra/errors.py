@@ -27,8 +27,8 @@ class NotSquareFree(SimraError):
 
 
 class PrecisionCapExceeded(SimraError):
-    """Refinement would need more working precision than the configured cap,
-    or the value is data-limited (saturated) above the requested radius."""
+    """Refinement would need more working precision than SIMRA_PRECISION_CAP
+    allows, or the value is data-limited (saturated) above the requested radius."""
 
 
 class ZeroPoint(SimraError):
@@ -37,8 +37,8 @@ class ZeroPoint(SimraError):
 
 class TieUnresolved(SimraError):
     """Two candidate approximation errors stayed indistinguishable at the
-    precision cap.  Signals either an insufficient cap or coordinates that
-    are not linearly independent over the rationals."""
+    precision cap (SIMRA_PRECISION_CAP).  Signals either an insufficient cap
+    or coordinates that are not linearly independent over the rationals."""
 
 
 class DependentCoordinates(SimraError):
@@ -79,7 +79,7 @@ class SandwichViolated(SimraError):
     """A profile bound failed against the computed envelope.
 
     Attributes:
-        witness: the abscissa X at which the violation was found.
+        witness: the abscissa X of the violation (Fraction or RigorousReal).
     """
 
     def __init__(self, message, witness=None):

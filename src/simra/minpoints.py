@@ -42,7 +42,6 @@ from .errors import (BeyondCertifiedRange, DependentCoordinates, DomainError,
 from .model import ApproxSet, CongruenceSet, IntegerPoint, Sublattice, TargetPoint
 from .rigorous import RigorousReal
 
-DEFAULT_ENUM_CAP = 4096
 _BASE_BITS = 64
 
 INFINITE = math.inf  # envelope value when no point of the set is in range yet
@@ -78,9 +77,8 @@ class _Comparator:
     cap signals an insufficient cap or dependent coordinates.
     """
 
-    def __init__(self, target: TargetPoint, cap: int = DEFAULT_ENUM_CAP):
+    def __init__(self, target: TargetPoint):
         self.target = target
-        self.cap = cap
         self.n = target.n
         self.exact = target.exact_values()
         self.sat = target.saturation_flags()
@@ -175,13 +173,14 @@ class _Comparator:
             bmax = [k for k, v in zip(b_keys, b) if v[1] >= blo]
             if len(amax) == 1 and len(bmax) == 1 and amax[0] == bmax[0]:
                 return 0
-            if bits >= self.cap or (asat and bsat):
+            # the cap is read only here: most comparisons end at _BASE_BITS
+            if (asat and bsat) or bits >= (cap := rigorous.precision_cap()):
                 raise TieUnresolved(
                     f"L values of {a_point} and {b_point} remain indistinguishable "
-                    f"at {bits} bits: raise the cap or check the coordinates for "
-                    "rational dependence"
+                    f"at {bits} bits: raise SIMRA_PRECISION_CAP or check the "
+                    "coordinates for rational dependence"
                 )
-            bits = min(bits * 2, self.cap)
+            bits = min(bits * 2, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +201,6 @@ class MinimalPointSequence:
     target: TargetPoint
     approx_set: ApproxSet
     x_max: Fraction
-    cap: int
     entries: list[MinimalPointEntry]
     norm_sq_max: int
 
@@ -389,17 +387,17 @@ def _validate_x_max(x_max) -> tuple[Fraction, int]:
 
 
 def enumerate_minimal_points(target: TargetPoint, approx_set: ApproxSet,
-                             x_max, cap: int = DEFAULT_ENUM_CAP) -> MinimalPointSequence:
+                             x_max) -> MinimalPointSequence:
     """The minimal-point sequence of (target, S) for norms up to x_max.
 
-    Deterministic in (target, S, x_max, cap).  Raises EmptySet when S has no
-    nonzero member in range, DependentCoordinates when an exactly-zero
-    error is hit, TieUnresolved when a record comparison cannot be
-    certified.
+    Deterministic in (target, S, x_max) and the precision cap.  Raises
+    EmptySet when S has no nonzero member in range, DependentCoordinates
+    when an exactly-zero error is hit, TieUnresolved when a record
+    comparison cannot be certified.
     """
     x_max, norm_sq_max = _validate_x_max(x_max)
     _check_set(target, approx_set)
-    comparator = _Comparator(target, cap)
+    comparator = _Comparator(target)
 
     # the start: the members of S in the smallest ball of radius r = 1, 2,
     # 4, ... that holds one, swept completely; the scan takes over past r
@@ -417,24 +415,24 @@ def enumerate_minimal_points(target: TargetPoint, approx_set: ApproxSet,
         r *= 2
     entries = _sweep(ball, comparator)
     _scan_entries(comparator, approx_set, norm_sq_max, entries, bound_sq)
-    return MinimalPointSequence(target, approx_set, x_max, cap, entries, norm_sq_max)
+    return MinimalPointSequence(target, approx_set, x_max, entries, norm_sq_max)
 
 
 # ---------------------------------------------------------------------------
 # independent cross-checks
 
 def brute_force_reference(target: TargetPoint, approx_set: ApproxSet,
-                          x_max, cap: int = DEFAULT_ENUM_CAP) -> MinimalPointSequence:
+                          x_max) -> MinimalPointSequence:
     """Literal scan of every canonical point of norm <= x_max.  Small X only."""
     x_max, norm_sq_max = _validate_x_max(x_max)
     _check_set(target, approx_set)
-    comparator = _Comparator(target, cap)
+    comparator = _Comparator(target)
     cands = [c for c in _canonical_ball(target.n + 1, norm_sq_max)
              if approx_set.member(c)]
     if not cands:
         raise EmptySet(f"no nonzero member of the approximation set with norm <= {x_max}")
     entries = _sweep(cands, comparator)
-    return MinimalPointSequence(target, approx_set, x_max, cap, entries, norm_sq_max)
+    return MinimalPointSequence(target, approx_set, x_max, entries, norm_sq_max)
 
 
 def _window_candidates(target: TargetPoint, approx_set: ApproxSet,
@@ -510,15 +508,15 @@ def _window_candidates(target: TargetPoint, approx_set: ApproxSet,
 
 
 def exhaustive_scan(target: TargetPoint, approx_set: ApproxSet,
-                    x_max, cap: int = DEFAULT_ENUM_CAP) -> MinimalPointSequence:
-    """Windowed exhaustive scan, independent of the record-pinning argument;
-    every kind of set S goes through the one window superset."""
+                    x_max) -> MinimalPointSequence:
+    """Windowed exhaustive scan, its windows sized once by the first record
+    (not the enumerator's record windows), for every kind of set S."""
     x_max, norm_sq_max = _validate_x_max(x_max)
     _check_set(target, approx_set)
-    comparator = _Comparator(target, cap)
+    comparator = _Comparator(target)
     cands = _window_candidates(target, approx_set, norm_sq_max, comparator)
     entries = _sweep(cands, comparator)
-    return MinimalPointSequence(target, approx_set, x_max, cap, entries, norm_sq_max)
+    return MinimalPointSequence(target, approx_set, x_max, entries, norm_sq_max)
 
 
 # ---------------------------------------------------------------------------
@@ -612,9 +610,9 @@ def write_csv(seq: MinimalPointSequence, fileobj) -> None:
             ])
 
 
-def read_csv(target: TargetPoint, approx_set: ApproxSet, x_max, cap: int,
+def read_csv(target: TargetPoint, approx_set: ApproxSet, x_max,
              fileobj) -> MinimalPointSequence:
-    """The sequence a write_csv export of (target, S, x_max, cap) holds.
+    """The sequence a write_csv export of (target, S, x_max) holds.
 
     Only the exact columns i, x_0..x_n and normSq are read; X, L and the
     branch keys are recomputed from each point, so the result equals the
@@ -633,7 +631,7 @@ def read_csv(target: TargetPoint, approx_set: ApproxSet, x_max, cap: int,
     reader = csv.reader(fileobj)
     if next(reader, None) != header:
         raise SchemaError(f"{name}: the header is not {','.join(header)}")
-    comparator = _Comparator(target, cap)
+    comparator = _Comparator(target)
     entries: list[MinimalPointEntry] = []
     for row in reader:
         where = f"{name} line {reader.line_num}"
@@ -659,7 +657,7 @@ def read_csv(target: TargetPoint, approx_set: ApproxSet, x_max, cap: int,
             raise SchemaError(f"{where}: normSq {ns} does not exceed the previous "
                               f"row's {entries[-1].norm_sq}")
         entries.append(_entry(target, index, coords, ns, comparator.keys(coords)))
-    return MinimalPointSequence(target, approx_set, x_max, cap, entries, norm_sq_max)
+    return MinimalPointSequence(target, approx_set, x_max, entries, norm_sq_max)
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +666,7 @@ def read_csv(target: TargetPoint, approx_set: ApproxSet, x_max, cap: int,
 
 def verify_properties(seq: MinimalPointSequence) -> None:
     """Re-check (a) and (b) on a computed sequence; raises PropertyViolated."""
-    comparator = _Comparator(seq.target, seq.cap)
+    comparator = _Comparator(seq.target)
     for a, b in zip(seq.entries, seq.entries[1:]):
         if a.norm_sq >= b.norm_sq:
             raise PropertyViolated(
@@ -693,7 +691,7 @@ def verify_minimality(seq: MinimalPointSequence) -> int:
     lexicographically, every member of its norm.  Returns the number of
     candidates checked below the last entry's norm.
     """
-    comparator = _Comparator(seq.target, seq.cap)
+    comparator = _Comparator(seq.target)
     if not seq.entries:
         raise PropertyViolated("the sequence has no entries")
     cands = _window_candidates(seq.target, seq.approx_set, seq.norm_sq_max, comparator)

@@ -11,7 +11,6 @@ congruence conditions on individual coordinates, or an explicit sublattice.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -132,45 +131,32 @@ class Sublattice(ApproxSet):
             raise AmbientMismatch("sublattice basis vectors differ in length")
         self.basis = tuple(vecs)
         self.ambient = dim
-        # Row-reduce [B^T | I] once, B^T having the basis vectors as columns.
-        # Its right block E then satisfies E B^T = [I; 0]: x = B^T c forces
-        # c_j = (row j of E) . x, and x lies in the rational span exactly
-        # when the rows below the pivots annihilate it.
-        k = len(vecs)
-        rows = [[Fraction(v[t]) for v in vecs] + [Fraction(int(s == t)) for s in range(dim)]
-                for t in range(dim)]
-        for col in range(k):
-            piv = next((r for r in range(col, dim) if rows[r][col] != 0), None)
-            if piv is None:
+        # (pivot column, row) of the Hermite form: echelon, positive pivots;
+        # a dependent basis leaves a zero row
+        self._echelon = []
+        for row in subspaces._row_hnf([list(v) for v in vecs]):
+            if not any(row):
                 raise DomainError("sublattice basis vectors must be linearly independent")
-            rows[col], rows[piv] = rows[piv], rows[col]
-            rows[col] = [a / rows[col][col] for a in rows[col]]
-            for r in range(dim):
-                if r != col and rows[r][col] != 0:
-                    f = rows[r][col]
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-        solve = []  # (u, d) with integer u and (row of E) = u / d
-        for row in rows:
-            d = math.lcm(*(v.denominator for v in row[k:]))
-            solve.append((tuple(int(v * d) for v in row[k:]), d))
-        self._coeff_rows = tuple(solve[:k])
-        self._span_rows = tuple(u for u, _ in solve[k:])
-        # (pivot column, row) of the Hermite form: echelon, positive pivots
-        self._echelon = tuple((next(j for j, v in enumerate(row) if v), tuple(row))
-                              for row in subspaces._row_hnf([list(v) for v in vecs]))
+            self._echelon.append((next(j for j, v in enumerate(row) if v), tuple(row)))
 
     def member(self, coords: Sequence[int]) -> bool:
+        """Peel the echelon rows off coords: each pivot entry must be a
+        multiple of the pivot, and nothing may be left over."""
         if len(coords) != self.ambient:
             raise AmbientMismatch(
                 f"point has dimension {len(coords)}, lattice ambient is {self.ambient}"
             )
-        for u in self._span_rows:
-            if sum(a * b for a, b in zip(u, coords)):
-                return False  # not even in the rational span
-        for u, d in self._coeff_rows:
-            if sum(a * b for a, b in zip(u, coords)) % d:
+        acc = list(coords)
+        col = 0
+        for p, row in self._echelon:
+            if any(acc[col:p]):
                 return False
-        return True
+            c, r = divmod(acc[p], row[p])
+            if r:
+                return False
+            acc = [a - c * b for a, b in zip(acc, row)]
+            col = p + 1
+        return not any(acc[col:])
 
     def box_members(self, x0: int, windows: Sequence[tuple[int, int]]
                     ) -> Iterator[tuple[int, ...]]:
@@ -220,7 +206,7 @@ class TargetPoint:
         coords = tuple(coords)
         if len(coords) < 2:
             raise DomainError("a target needs at least two coordinates")
-        if rigorous.sign(coords[0], cap=4096) in (0, None):
+        if rigorous.sign(coords[0]) in (0, None):
             raise DomainError("xi_0 must be certified nonzero")
         self.coords = coords
         self.n = len(coords) - 1

@@ -9,8 +9,9 @@ handle with a tighter enclosure and never widens an earlier one.
 All endpoint arithmetic is exact (fractions.Fraction / big ints).  Only square
 roots and algebraic-root isolation introduce outward dyadic rounding, which is
 driven below any requested radius by raising the working precision.  The
-working precision escalates by doubling, starting at 64 bits, up to a
-configurable hard cap (default 2**16 bits, env SIMRA_PRECISION_CAP).
+working precision escalates by doubling, starting at 64 bits, up to the one
+precision cap of the package (precision_cap, read from SIMRA_PRECISION_CAP
+at each use; 4096 bits when unset).
 """
 
 from __future__ import annotations
@@ -25,21 +26,22 @@ from .errors import DomainError, NoSignChange, NotSquareFree, PrecisionCapExceed
 
 Rational = Union[int, Fraction]
 
-_DEFAULT_CAP = 1 << 16
 _START_BITS = 64
 
-_precision_cap = int(os.environ.get("SIMRA_PRECISION_CAP", _DEFAULT_CAP))
 
-
-def get_precision_cap() -> int:
-    return _precision_cap
-
-
-def set_precision_cap(bits: int) -> None:
-    global _precision_cap
+def precision_cap() -> int:
+    """The precision cap in bits: SIMRA_PRECISION_CAP, else 4096.  It bounds
+    every enclosure, refinement, comparison and sign, and the enumeration's
+    record comparator; DomainError unless it is an integer >= 64."""
+    text = os.environ.get("SIMRA_PRECISION_CAP", "4096")
+    try:
+        bits = int(text)
+    except ValueError:
+        bits = 0
     if bits < _START_BITS:
-        raise DomainError(f"precision cap must be >= {_START_BITS} bits")
-    _precision_cap = int(bits)
+        raise DomainError(
+            f"SIMRA_PRECISION_CAP={text!r} is not an integer >= {_START_BITS}")
+    return bits
 
 
 class Comparison(Enum):
@@ -221,7 +223,7 @@ class _Desc:
 
     saturated_leaf = False
 
-    def enclosure(self, bits: int, cap: int) -> tuple[Fraction, Fraction, bool]:
+    def enclosure(self, bits: int) -> tuple[Fraction, Fraction, bool]:
         """Best-effort enclosure targeting radius <= 2^-bits * max(1, |mid|).
 
         Never raises for precision reasons; the third element reports whether
@@ -230,14 +232,14 @@ class _Desc:
         cached = self._cache
         if cached is not None and (cached[0] >= bits or cached[3]):
             return cached[1], cached[2], cached[3]
-        lo, hi, sat = self._compute(bits, cap)
+        lo, hi, sat = self._compute(bits)
         if cached is not None:
             lo = max(lo, cached[1])
             hi = min(hi, cached[2])
         self._cache = (bits, lo, hi, sat)
         return lo, hi, sat
 
-    def _compute(self, bits: int, cap: int):
+    def _compute(self, bits: int):
         raise NotImplementedError
 
 
@@ -249,7 +251,7 @@ class _RationalLeaf(_Desc):
         super().__init__()
         self.value = value
 
-    def _compute(self, bits, cap):
+    def _compute(self, bits):
         return self.value, self.value, True
 
 
@@ -264,7 +266,7 @@ class _DecimalLeaf(_Desc):
         self.value = value
         self.radius = radius
 
-    def _compute(self, bits, cap):
+    def _compute(self, bits):
         return self.value - self.radius, self.value + self.radius, True
 
 
@@ -416,7 +418,7 @@ class _AlgebraicLeaf(_Desc):
         self.a, self.b, self.p = a_new, b_new, p_new
         return True
 
-    def _compute(self, bits, cap):
+    def _compute(self, bits):
         if self.exact is not None:
             return self.exact, self.exact, True
         target = None
@@ -443,13 +445,13 @@ class _Expr(_Desc):
         self.op = op
         self.args = tuple(args)
 
-    def _eval(self, leaf_bits: int, work_bits: int, cap: int):
+    def _eval(self, leaf_bits: int, work_bits: int):
         vals = []
         for a in self.args:
             if isinstance(a, _Expr):
-                vals.append(a._eval(leaf_bits, work_bits, cap))
+                vals.append(a._eval(leaf_bits, work_bits))
             else:
-                vals.append(a.enclosure(leaf_bits, cap))
+                vals.append(a.enclosure(leaf_bits))
         op = self.op
         if op == "add":
             (alo, ahi, asat), (blo, bhi, bsat) = vals
@@ -496,12 +498,12 @@ class _Expr(_Desc):
                 return ex, ex, True
         return _sqrt_lower(alo, work_bits), _sqrt_upper(ahi, work_bits), False
 
-    def _compute(self, bits, cap):
+    def _compute(self, bits):
         leaf_bits = bits + 16
         best = None
         while True:
             try:
-                lo, hi, sat = self._eval(leaf_bits, leaf_bits + 16, cap)
+                lo, hi, sat = self._eval(leaf_bits, leaf_bits + 16)
             except _NeedPrecision:
                 lo = hi = sat = None
             if lo is not None:
@@ -512,7 +514,7 @@ class _Expr(_Desc):
                 target = Fraction(1, 1 << bits) * max(Fraction(1), mid_mag)
                 if hi - lo <= 2 * target:
                     return lo, hi, False
-            if leaf_bits >= 4 * cap:
+            if leaf_bits >= 4 * precision_cap():
                 if best is None:
                     raise DomainError(
                         "division by an enclosure containing zero at the precision cap"
@@ -531,7 +533,7 @@ class RigorousReal:
 
     def __init__(self, desc: _Desc, bits: int = _START_BITS):
         self._desc = desc
-        lo, hi, sat = desc.enclosure(bits, _precision_cap)
+        lo, hi, sat = desc.enclosure(bits)
         self._lo, self._hi, self._sat = lo, hi, sat
 
     # -- enclosure views ---------------------------------------------------
@@ -670,45 +672,45 @@ def refine(x: RigorousReal, bits: int) -> RigorousReal:
     Raises PrecisionCapExceeded when the requested precision is above the cap
     or the value is data-limited (saturated) above the requested radius.
     """
-    cap = _precision_cap
+    cap = precision_cap()
     if bits > cap:
-        raise PrecisionCapExceeded(f"requested {bits} bits exceeds cap {cap}")
+        raise PrecisionCapExceeded(
+            f"requested {bits} bits exceeds the {cap}-bit SIMRA_PRECISION_CAP")
     out = RigorousReal(x._desc, bits)
     target = Fraction(1, 1 << bits) * max(Fraction(1), abs(out.midpoint))
     if out.radius > target:
         raise PrecisionCapExceeded(
             f"could not reach radius 2^-{bits}"
             + (" (value is data-limited)" if out.saturated else
-               f" within the {cap}-bit cap")
+               f" within the {cap}-bit SIMRA_PRECISION_CAP")
         )
     return out
 
 
 def enclosure(x: RigorousReal, bits: int) -> tuple[Fraction, Fraction, bool]:
-    """Best-effort enclosure after refining toward radius 2^-bits; never raises.
+    """Best-effort enclosure after refining toward radius 2^-bits.
 
-    Unlike refine, an unreachable target just returns the tightest enclosure
+    Unlike refine, an unreachable target (past the precision cap or the
+    data) raises nothing and just returns the tightest enclosure
     available (the third element reports saturation).
     """
-    lo, hi, sat = x._desc.enclosure(min(bits, _precision_cap), _precision_cap)
-    return lo, hi, sat
+    return x._desc.enclosure(min(bits, precision_cap()))
 
 
-def compare(x: RigorousReal, y, cap: int | None = None) -> Comparison:
+def compare(x: RigorousReal, y) -> Comparison:
     """Certified three-way comparison.
 
     Escalates precision by doubling until the enclosures separate; equal
-    values (or values closer than the cap permits distinguishing) come back
-    INDISTINGUISHABLE, never a wrong strict answer.
+    values (or values closer than the precision cap permits distinguishing)
+    come back INDISTINGUISHABLE, never a wrong strict answer.
     """
     if not isinstance(y, RigorousReal):
         y = rational(Fraction(y))
-    if cap is None:
-        cap = _precision_cap
+    cap = precision_cap()
     bits = _START_BITS
     while True:
-        xlo, xhi, xsat = x._desc.enclosure(bits, cap)
-        ylo, yhi, ysat = y._desc.enclosure(bits, cap)
+        xlo, xhi, xsat = x._desc.enclosure(bits)
+        ylo, yhi, ysat = y._desc.enclosure(bits)
         if xhi < ylo:
             return Comparison.LESS
         if yhi < xlo:
@@ -718,17 +720,17 @@ def compare(x: RigorousReal, y, cap: int | None = None) -> Comparison:
         bits = min(bits * 2, cap)
 
 
-def sign(x: RigorousReal, cap: int | None = None) -> int | None:
+def sign(x: RigorousReal) -> int | None:
     """Certified sign: -1, 0 (exactly zero), +1, or None when undecidable."""
     if x.is_exact:
         v = x.lo
         return (v > 0) - (v < 0)
-    c = compare(x, 0, cap)
+    c = compare(x, 0)
     if c is Comparison.LESS:
         return -1
     if c is Comparison.GREATER:
         return 1
-    lo, hi, sat = x._desc.enclosure(cap or _precision_cap, cap or _precision_cap)
+    lo, hi, _ = x._desc.enclosure(precision_cap())
     if lo == hi == 0:
         return 0
     return None
@@ -736,5 +738,5 @@ def sign(x: RigorousReal, cap: int | None = None) -> int | None:
 
 def dyadic_bounds(x: RigorousReal, bits: int) -> tuple[int, int]:
     """Integers (lo, hi) with x in [lo, hi] / 2^bits."""
-    lo, hi, _ = x._desc.enclosure(bits, _precision_cap)
+    lo, hi, _ = x._desc.enclosure(bits)
     return _frac_floor_scaled(lo, bits), _frac_ceil_scaled(hi, bits)

@@ -121,8 +121,7 @@ def write_frontier_csv(fileobj: TextIO, n: int, grid_count: int = 101) -> None:
 # ---------------------------------------------------------------------------
 # the algebraic-plus-one preset
 
-def liouville_preset(theta_doc: dict, extra_doc, x_max,
-                     cap: int = minpoints.DEFAULT_ENUM_CAP) -> dict:
+def liouville_preset(theta_doc: dict, extra_doc, x_max) -> dict:
     """Minimal points of (1, theta, ..., theta^(n-1), extra) up to x_max.
 
     theta_doc is an algebraic coordinate descriptor of degree n >= 2; the
@@ -148,7 +147,7 @@ def liouville_preset(theta_doc: dict, extra_doc, x_max,
     target = model.TargetPoint(coords)
     n = target.n
     seq = minpoints.enumerate_minimal_points(target, model.FullLattice(),
-                                             Fraction(x_max), cap)
+                                             Fraction(x_max))
 
     expo = Fraction(1, 2 * (deg - 1))  # X^(1/(deg-1)) on squared norms
     best = None

@@ -107,48 +107,34 @@ def epsilon_delta(a, b, alpha, beta, n: int) -> dict:
     eps/delta ladders then come back as enclosures and the constants, which
     would need real exponents, are omitted.
     """
-    if isinstance(alpha, RigorousReal) or isinstance(beta, RigorousReal):
-        if n < 1:
-            raise DomainError("n must be >= 1")
-        r = alpha / beta
-        eps_k = [1 - mm_lhs(alpha, beta, k + 1) for k in range(n)]
-        delta_k = []
-        delta_acc = r * 0
-        inner = r * 0
-        rk = r * 0 + 1
-        for k in range(n):
-            if k >= 1:
-                rk = rk * r
-                inner = inner + rk
-                delta_acc = delta_acc + inner
-            delta_k.append(delta_acc)
-        return {"eps": eps_k[-1], "delta": delta_k[-1],
-                "epsK": eps_k, "deltaK": delta_k, "cK": None}
-    a, b = _frac(a, "a"), _frac(b, "b")
-    alpha, beta = _frac(alpha, "alpha"), _frac(beta, "beta")
-    if min(a, b, alpha, beta) <= 0:
-        raise DomainError("a, b, alpha, beta must all be positive")
+    exact = not (isinstance(alpha, RigorousReal) or isinstance(beta, RigorousReal))
+    if exact:
+        a, b = _frac(a, "a"), _frac(b, "b")
+        alpha, beta = _frac(alpha, "alpha"), _frac(beta, "beta")
+        if min(a, b, alpha, beta) <= 0:
+            raise DomainError("a, b, alpha, beta must all be positive")
     if n < 1:
         raise DomainError("n must be >= 1")
     r = alpha / beta
-    eps_k: list[Fraction] = []
-    delta_k: list[Fraction] = []
-    c_k = []
-    acc = Fraction(0)       # alpha + alpha^2/beta + ... up to current k
+    eps_k: list = []
+    delta_k: list = []
+    acc = Fraction(0)        # alpha + alpha^2/beta + ... up to current k
     delta_acc = Fraction(0)  # sum_{j<=k} sum_{i<=j} r^i
     inner = Fraction(0)      # sum_{i<=j} r^i for the current j
-    term = alpha
+    term, rk = alpha, Fraction(1)
     for k in range(n):
-        acc += term
-        term *= r
+        acc = acc + term
+        term = term * r
         eps_k.append(1 - acc)
         if k >= 1:
-            inner += r ** k
-            delta_acc += inner
+            rk = rk * r
+            inner = inner + rk
+            delta_acc = delta_acc + inner
         delta_k.append(delta_acc)
-        ck = iv_pow(frac_enclosure(a), k + 1) * iv_pow(frac_enclosure(a / b),
-                                                       delta_acc)
-        c_k.append(ck)
+    c_k = None
+    if exact:
+        c_k = [iv_pow(frac_enclosure(a), k + 1) * iv_pow(frac_enclosure(a / b), d)
+               for k, d in enumerate(delta_k)]
     return {
         "eps": eps_k[-1],
         "delta": delta_k[-1],
@@ -411,15 +397,52 @@ def _geometric_grid(a: Fraction, b: Fraction, count: int) -> list[Fraction]:
     return xs
 
 
+def _check_steps(seq: minpoints.MinimalPointSequence,
+                 profile: TransferenceProfile) -> None:
+    """Certify psi <= envelope <= phi on all of [A, X_max], A the domain start.
+
+    The envelope is L_i on [X_i, X_{i+1}) and psi, phi decrease, so the
+    sandwich holds exactly when psi(max(A, X_i)) <= L_i and
+    L_i <= phi(min(X_{i+1}, X_max)) on every step meeting [A, X_max].
+    Raises SandwichViolated at the first certified failure.
+    """
+    a0 = profile.domain_start
+    ents = seq.entries
+    if not ents or ents[0].norm_sq > a0 * a0:
+        raise SandwichViolated(f"no approximant of norm <= {float(a0):.6g}: envelope "
+                               "is infinite inside the profile domain", witness=a0)
+    for i, e in enumerate(ents):
+        nxt = ents[i + 1] if i + 1 < len(ents) else None
+        if nxt is not None and nxt.norm_sq <= a0 * a0:
+            continue  # the step ends before the domain starts
+        li = rig_interval(e.l_value)
+        at = a0 if e.norm_sq < a0 * a0 else e.x_value
+        if upper(li) < lower(profile.psi(_abscissa(at))):
+            raise SandwichViolated(
+                f"envelope L_{i} is certifiably below psi at X={float(at):.6g}",
+                witness=at)
+        # every entry has norm <= X_max, so min(X_{i+1}, X_max) is X_{i+1}
+        at = Fraction(seq.x_max) if nxt is None else nxt.x_value
+        if lower(li) > upper(profile.phi(_abscissa(at))):
+            raise SandwichViolated(
+                f"envelope L_{i} is certifiably above phi up to X={float(at):.6g}",
+                witness=at)
+
+
+def _abscissa(x):
+    return rig_interval(x) if isinstance(x, RigorousReal) else frac_enclosure(x)
+
+
 def check_sandwich(seq: minpoints.MinimalPointSequence,
                    profile: TransferenceProfile, grid_count: int = 64) -> dict:
-    """Certified psi <= envelope <= phi over a geometric grid of [A, X_max],
+    """Certified psi <= envelope <= phi on all of [A, X_max] (_check_steps),
     monotonicity of every product Phi_k, the grid minimum of the top product,
     and the two tail consequences the sandwich forces on consecutive entries
     (error below phi at the next norm, norm above theta of the next norm).
 
     A certified violation of the sandwich raises SandwichViolated with the
-    witness X; everything else is reported, not asserted.
+    witness X; everything else is reported, not asserted.  The geometric
+    grid of [A, X_max] only reports psi, envelope and phi.
     """
     a0 = profile.domain_start
     if seq.x_max <= a0 * 2:
@@ -428,34 +451,15 @@ def check_sandwich(seq: minpoints.MinimalPointSequence,
             f"(domain starts at {a0})"
         )
     n = profile.n
+    _check_steps(seq, profile)
     grid = _geometric_grid(a0, Fraction(seq.x_max), grid_count)
-
     grid_report = []
     for x in grid:
-        env = minpoints.envelope(seq, x)
-        phi_x, psi_x = profile.phi(x), profile.psi(x)
-        if not isinstance(env, RigorousReal):
-            raise SandwichViolated(
-                f"no approximant of norm <= {float(x):.6g}: "
-                "envelope is infinite inside the profile domain",
-                witness=x,
-            )
-        env_iv = rig_interval(env)
-        if upper(env_iv) < lower(psi_x):
-            raise SandwichViolated(
-                f"envelope at X={float(x):.6g} is certifiably below psi",
-                witness=x,
-            )
-        if lower(env_iv) > upper(phi_x):
-            raise SandwichViolated(
-                f"envelope at X={float(x):.6g} is certifiably above phi",
-                witness=x,
-            )
         grid_report.append({
             "X": float(x),
-            "psi": midpoint_float(psi_x),
-            "envelope": midpoint_float(env_iv),
-            "phi": midpoint_float(phi_x),
+            "psi": midpoint_float(profile.psi(x)),
+            "envelope": midpoint_float(rig_interval(minpoints.envelope(seq, x))),
+            "phi": midpoint_float(profile.phi(x)),
         })
 
     # monotonicity of the Phi_k: analytic for the power family, grid scan
@@ -650,8 +654,8 @@ def growth_conditions(pairs: Sequence[tuple], alpha, beta, eps, big_c,
 
 def verify_extremal_sequence(points: Sequence, target: model.TargetPoint,
                              approx_set: model.ApproxSet, alpha, beta, eps,
-                             big_c, seq: Optional[minpoints.MinimalPointSequence] = None,
-                             cap: int = minpoints.DEFAULT_ENUM_CAP) -> dict:
+                             big_c, seq: Optional[minpoints.MinimalPointSequence] = None
+                             ) -> dict:
     """The four structural conditions on a candidate extremal sequence.
 
     Growth and decay come from growth_conditions on the measured (norm,
@@ -683,8 +687,8 @@ def verify_extremal_sequence(points: Sequence, target: model.TargetPoint,
     if seq is None:
         x_max = max(p.norm_sq for p in pts)
         seq = minpoints.enumerate_minimal_points(
-            target, approx_set, Fraction(math.isqrt(x_max) + 1), cap)
-    comparator = minpoints._Comparator(target, cap)
+            target, approx_set, Fraction(math.isqrt(x_max) + 1))
+    comparator = minpoints._Comparator(target)
     envelope_rows = []
     for idx, p in enumerate(pts):
         row = {"i": idx, "inSet": bool(approx_set.member(p.coords))}

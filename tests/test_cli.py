@@ -94,6 +94,36 @@ def test_bad_xmax_error_json(tmp_path, capsys):
     assert json.loads(out)["error"]["type"] == "DomainError"
 
 
+@pytest.mark.parametrize("cap", ["abc", "8"])
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--preset", "sqrt2", "--xmax", "100", "--out", "run"],
+    ["lambda-n", "--n", "2"],
+], ids=["enumerate", "lambda-n"])
+def test_bad_precision_cap_error_json(tmp_path, capsys, monkeypatch, argv, cap):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SIMRA_PRECISION_CAP", cap)
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "DomainError" and "SIMRA_PRECISION_CAP" in err["message"]
+    assert not (tmp_path / "run").exists()
+
+
+def test_manifest_records_cap_in_force(tmp_path, monkeypatch):
+    for cap, name in ((None, "default"), ("8192", "raised")):
+        if cap is None:
+            monkeypatch.delenv("SIMRA_PRECISION_CAP", raising=False)
+        else:
+            monkeypatch.setenv("SIMRA_PRECISION_CAP", cap)
+        assert main(["enumerate", "--preset", "sqrt2", "--xmax", "30",
+                     "--out", str(tmp_path / name)]) == 0
+    assert json.loads(read(tmp_path / "default" / "manifest.json"))["cap"] == 4096
+    assert json.loads(read(tmp_path / "raised" / "manifest.json"))["cap"] == 8192
+    # the CSV does not depend on a cap no comparison reached
+    assert (read(tmp_path / "default" / "minimal_points.csv")
+            == read(tmp_path / "raised" / "minimal_points.csv"))
+
+
 def test_exponents_subcommand(tmp_path, capsys):
     run = tmp_path / "big"
     assert main(["enumerate", "--preset", "sqrt2", "--xmax", "100000",

@@ -15,6 +15,7 @@ from simra.errors import (
     DomainError,
     EmptySet,
     PropertyViolated,
+    TieUnresolved,
 )
 from simra.minpoints import (
     INFINITE,
@@ -140,7 +141,9 @@ def test_annulus_and_minimality(sqrt2_seq_30):
 
 def test_oracles_agree_on_random_congruence_sets(sqrt2, cubic):
     rng = random.Random(7)
-    past_start_bound = 0  # cases whose records reach the streamed x_0 scan
+    # cases with a record past squared norm 64, outside the start ball
+    # (radius <= 4 for these sets), so found by the record-window scan
+    past_start_ball = 0
     for _ in range(8):
         target, _ = rng.choice([sqrt2, cubic])
         x_max = 150 if target.n == 1 else 25
@@ -152,8 +155,8 @@ def test_oracles_agree_on_random_congruence_sets(sqrt2, cubic):
         assert all(approx.member(p) for p in fast.points()), approx
         assert brute_force_reference(target, approx, x_max).points() == fast.points(), approx
         assert exhaustive_scan(target, approx, x_max).points() == fast.points(), approx
-        past_start_bound += fast.entries[-1].norm_sq > 64
-    assert past_start_bound > 0
+        past_start_ball += fast.entries[-1].norm_sq > 64
+    assert past_start_ball > 0
 
 
 def test_oracles_agree_on_random_sublattices(sqrt2):
@@ -232,7 +235,7 @@ def test_rank_one_sublattice_is_its_generator(preset, v, x_max):
 ], ids=repr)
 @pytest.mark.parametrize("entry", [
     enumerate_minimal_points, brute_force_reference, exhaustive_scan,
-    lambda target, approx, x_max: read_csv(target, approx, x_max, 4096, io.StringIO()),
+    lambda target, approx, x_max: read_csv(target, approx, x_max, io.StringIO()),
 ], ids=["enumerate", "brute_force", "exhaustive_scan", "read_csv"])
 def test_sets_outside_the_target_dimension_rejected(sqrt2, approx, entry):
     target, _ = sqrt2
@@ -288,7 +291,7 @@ def test_verify_minimality_rejects_truncated_sequences(sqrt2):
     assert len(seq) == 9
     assert verify_minimality(seq) > 0
     for kept, culprit in ((seq.entries[:-1], "(408, 577)"), (seq.entries[1:], "(0, 1)")):
-        cut = minpoints.MinimalPointSequence(target, approx, seq.x_max, seq.cap,
+        cut = minpoints.MinimalPointSequence(target, approx, seq.x_max,
                                              kept, seq.norm_sq_max)
         verify_properties(cut)  # (a) and (b) still hold
         with pytest.raises(PropertyViolated, match=re.escape(culprit)):
@@ -303,7 +306,7 @@ def test_verify_minimality_checks_start_tie_break(cubic):
     assert seq.points()[0] == (0, 0, 1)
     keys = minpoints._Comparator(target).keys((0, 1, 0))
     swapped = minpoints.MinimalPointSequence(
-        target, approx, seq.x_max, seq.cap,
+        target, approx, seq.x_max,
         [minpoints._entry(target, 0, (0, 1, 0), 1, keys)] + seq.entries[1:],
         seq.norm_sq_max)
     verify_properties(swapped)
@@ -331,10 +334,10 @@ def test_csv_round_trip(doc, x_max):
     buf = io.StringIO()
     write_csv(seq, buf)
     buf.seek(0)
-    back = read_csv(target, approx, x_max, seq.cap, buf)
-    assert (back.x_max, back.norm_sq_max, back.cap) == (seq.x_max, seq.norm_sq_max, seq.cap)
+    back = read_csv(target, approx, x_max, buf)
+    assert (back.x_max, back.norm_sq_max) == (seq.x_max, seq.norm_sq_max)
     assert len(back) == len(seq)
-    comparator = minpoints._Comparator(target, seq.cap)
+    comparator = minpoints._Comparator(target)
     for a, b in zip(back.entries, seq.entries):
         assert (a.index, a.point, a.norm_sq) == (b.index, b.point, b.norm_sq)
         assert a.branch_keys == b.branch_keys
@@ -345,3 +348,19 @@ def test_csv_round_trip(doc, x_max):
     again = io.StringIO()
     write_csv(back, again)
     assert again.getvalue() == buf.getvalue()
+
+
+def test_comparator_ties_stop_at_the_precision_cap(monkeypatch):
+    # two separate handles on sqrt(2): L(2, 3, 2) and L(2, 2, 3) are both
+    # 2 sqrt(2) - 2, through different branch keys, so no precision decides
+    r1 = rigorous.algebraic_root([-2, 0, 1], (1, 2))
+    r2 = rigorous.algebraic_root([-2, 0, 1], (1, 2))
+    target = model.TargetPoint([rational(1), r1, r2])
+    a, b = (2, 3, 2), (2, 2, 3)
+    monkeypatch.delenv("SIMRA_PRECISION_CAP", raising=False)
+    for cap in (4096, 128):
+        comparator = minpoints._Comparator(target)
+        with pytest.raises(TieUnresolved,
+                           match=f"at {cap} bits: raise SIMRA_PRECISION_CAP"):
+            comparator.compare(comparator.keys(a), comparator.keys(b), a, b)
+        monkeypatch.setenv("SIMRA_PRECISION_CAP", "128")

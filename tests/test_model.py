@@ -106,6 +106,48 @@ def test_sublattice_member_matches_elimination():
         Sublattice([(2, 0), (0, 1)]).member((1, 2, 3))
 
 
+def rank_over_q(rows):
+    rows = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_sublattice_member_by_definition():
+    # x = sum c_j b_j with rational c_j: for an independent basis the c_j
+    # are unique, so an integral x is a member exactly when every c_j is an
+    # integer; a dependent basis (a zero Hermite row) is a DomainError
+    rng = random.Random(13)
+    kinds = {"independent": 0, "dependent": 0}
+    for _ in range(300):
+        ambient = rng.randint(2, 4)
+        k = rng.randint(1, ambient)
+        basis = [[rng.randint(-2, 2) for _ in range(ambient)] for _ in range(k)]
+        if rank_over_q(basis) < k:
+            kinds["dependent"] += 1
+            with pytest.raises(DomainError, match="linearly independent"):
+                Sublattice(basis)
+            continue
+        kinds["independent"] += 1
+        lat = Sublattice(basis)
+        for _ in range(40):
+            den = rng.randint(1, 4)
+            cs = [Fraction(rng.randint(-8, 8), den) for _ in range(k)]
+            x = [sum(c * b[t] for c, b in zip(cs, basis)) for t in range(ambient)]
+            if all(v.denominator == 1 for v in x):
+                want = all(c.denominator == 1 for c in cs)
+                assert lat.member([int(v) for v in x]) == want, (basis, cs)
+    assert min(kinds.values()) >= 10, kinds
+
+
 def test_sublattice_box_members_match_membership_filter():
     rng = random.Random(5)
     bases = 0

@@ -98,7 +98,7 @@ def test_refine_radius_contract():
 
 
 def test_refine_beyond_cap_raises():
-    cap = rigorous.get_precision_cap()
+    cap = rigorous.precision_cap()
     with pytest.raises(PrecisionCapExceeded):
         refine(sqrt(2), cap + 1)
 
@@ -129,11 +129,14 @@ def test_compare_spec_examples():
     assert compare(r2, other) is Comparison.INDISTINGUISHABLE
 
 
-def test_compare_uses_cap_argument():
+def test_compare_uses_cap_argument(monkeypatch):
+    # the cap is SIMRA_PRECISION_CAP, read at every call
     a = sqrt(2)
     b = sqrt(2) + Fraction(1, 2 ** 200)
-    assert compare(a, b, cap=64) is Comparison.INDISTINGUISHABLE
-    assert compare(a, b, cap=4096) is Comparison.LESS
+    monkeypatch.setenv("SIMRA_PRECISION_CAP", "64")
+    assert compare(a, b) is Comparison.INDISTINGUISHABLE
+    monkeypatch.setenv("SIMRA_PRECISION_CAP", "4096")
+    assert compare(a, b) is Comparison.LESS
 
 
 def test_sign():
@@ -214,15 +217,17 @@ def test_compare_antisymmetry_random():
             assert xv > yv
 
 
-def test_precision_cap_roundtrip():
-    old = rigorous.get_precision_cap()
-    try:
-        rigorous.set_precision_cap(1 << 10)
-        assert rigorous.get_precision_cap() == 1 << 10
-        with pytest.raises(DomainError):
-            rigorous.set_precision_cap(8)
-    finally:
-        rigorous.set_precision_cap(old)
+def test_precision_cap_roundtrip(monkeypatch):
+    monkeypatch.delenv("SIMRA_PRECISION_CAP", raising=False)
+    assert rigorous.precision_cap() == 4096
+    monkeypatch.setenv("SIMRA_PRECISION_CAP", str(1 << 10))
+    assert rigorous.precision_cap() == 1 << 10
+    with pytest.raises(PrecisionCapExceeded, match="1024-bit"):
+        refine(sqrt(2), (1 << 10) + 1)
+    for bad in ("8", "63", "abc", ""):
+        monkeypatch.setenv("SIMRA_PRECISION_CAP", bad)
+        with pytest.raises(DomainError, match="SIMRA_PRECISION_CAP"):
+            rigorous.precision_cap()
 
 
 def test_dyadic_bounds():

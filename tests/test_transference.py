@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from simra import minpoints, model, presets, spectra
+from simra import minpoints, model, presets, rigorous, spectra
 from simra.errors import (
     DomainError,
     DomainTooShort,
@@ -247,6 +247,24 @@ def test_check_sandwich_violation(sqrt2_seq_1e5):
     with pytest.raises(SandwichViolated) as exc:
         check_sandwich(sqrt2_seq_1e5, bad)
     assert exc.value.witness is not None
+
+
+def test_check_sandwich_catches_violation_between_grid_points(sqrt2_seq_1e5):
+    # L_1 = sqrt2 - 1 holds on [sqrt2, sqrt13); with a just below
+    # (sqrt2 - 1) sqrt13, phi = a / X drops under it on
+    # (sqrt13 (1 - 10^-6), sqrt13), which no grid point of [2, 10^5] meets;
+    # the step starts below the domain start 2
+    a = rigorous.refine((rigorous.sqrt(2) - 1) * rigorous.sqrt(13)
+                        * (1 - Fraction(1, 10 ** 6)), 64).midpoint
+    p = TransferenceProfile.power(1, a, Fraction(1, 4), 1, 1)
+    with pytest.raises(SandwichViolated, match="L_1 is certifiably above phi") as exc:
+        check_sandwich(sqrt2_seq_1e5, p)
+    assert exc.value.witness is sqrt2_seq_1e5.entries[2].x_value
+    # below psi at the domain start: b = 1 gives psi(2) = 1/2 > L_1
+    p = TransferenceProfile.power(1, 2, 1, 1, 1)
+    with pytest.raises(SandwichViolated, match="L_1 is certifiably below psi") as exc:
+        check_sandwich(sqrt2_seq_1e5, p)
+    assert exc.value.witness == 2
 
 
 def test_check_sandwich_domain_too_short(sqrt2_seq_30):
