@@ -15,11 +15,13 @@ The fast enumerator takes the members of S in the smallest ball of radius
 current record bounds every x_k to a window around (xi_k/xi_0) x_0 outside
 which a point is certifiably worse than the record, and the set lists its
 own members in those windows (ApproxSet.box_members).  Every approximation
-set takes this one path.  Two independent cross-checks are kept, both
-filtering canonical points of Z^(n+1) by membership in S: a literal scan
-of every canonical point (small X only) and a windowed scan whose
-per-coordinate windows are sized by the first record, which provably
-contain every point able to beat any later record.
+set takes this one path: S answers every question about itself
+(check_ambient, member, box_members), and nothing here branches on its
+kind.  Two independent cross-checks are kept, both filtering canonical
+points of Z^(n+1) by S.member alone: a literal scan of every canonical
+point (small X only) and a windowed scan whose plain per-coordinate
+windows are sized by the first record, which provably contain every point
+able to beat any later record.
 
 All record comparisons are certified: branch values are tracked symbolically
 (so exact ties between branches are recognized, not fought numerically) and
@@ -39,7 +41,7 @@ from typing import Iterable, Optional, Sequence, Union
 from . import model, rigorous
 from .errors import (BeyondCertifiedRange, DependentCoordinates, DomainError,
                      EmptySet, PropertyViolated, SchemaError, TieUnresolved)
-from .model import ApproxSet, CongruenceSet, IntegerPoint, Sublattice, TargetPoint
+from .model import ApproxSet, IntegerPoint, TargetPoint
 from .rigorous import RigorousReal
 
 _BASE_BITS = 64
@@ -233,31 +235,6 @@ def _canonical_ball(ambient: int, norm_sq_max: int) -> Iterable[tuple[int, ...]]
     yield from rec([], norm_sq_max, False)
 
 
-def _allowed_range(approx: ApproxSet, index: int, lo: int, hi: int) -> list[int]:
-    """Allowed integer values in a window, widened to the nearest allowed
-    neighbours outside it so that allowed-floor/allowed-ceil are always in."""
-    if isinstance(approx, CongruenceSet) and index in approx.residues:
-        m = approx.modulus
-        a = lo
-        while not approx.allowed(index, a):
-            a -= 1
-            if lo - a > m:
-                return []
-        b = hi
-        while not approx.allowed(index, b):
-            b += 1
-            if b - hi > m:
-                return []
-        return [v for v in range(a, b + 1) if approx.allowed(index, v)]
-    return list(range(lo, hi + 1))
-
-
-def _x0_allowed(approx: ApproxSet, x0: int) -> bool:
-    if isinstance(approx, CongruenceSet):
-        return approx.allowed(0, x0)
-    return True
-
-
 # ---------------------------------------------------------------------------
 # the record sweep
 
@@ -366,18 +343,6 @@ def _scan_entries(comparator: _Comparator, approx_set: ApproxSet,
     _sweep_below(heap, math.inf, entries, comparator)
 
 
-def _check_set(target: TargetPoint, approx_set: ApproxSet) -> None:
-    """DomainError unless S constrains only the coordinates 0..n of the target."""
-    if isinstance(approx_set, Sublattice) and approx_set.ambient != target.n + 1:
-        raise DomainError(f"{approx_set!r} has ambient dimension {approx_set.ambient}, "
-                          f"the target {target.n + 1}")
-    if isinstance(approx_set, CongruenceSet):
-        for k in approx_set.residues:
-            if not 0 <= k <= target.n:
-                raise DomainError(f"residue index {k} of {approx_set!r} is outside "
-                                  f"0..{target.n}")
-
-
 def _validate_x_max(x_max) -> tuple[Fraction, int]:
     x_max = Fraction(x_max)
     if x_max < 1:
@@ -396,7 +361,7 @@ def enumerate_minimal_points(target: TargetPoint, approx_set: ApproxSet,
     comparison cannot be certified.
     """
     x_max, norm_sq_max = _validate_x_max(x_max)
-    _check_set(target, approx_set)
+    approx_set.check_ambient(target.n + 1)
     comparator = _Comparator(target)
 
     # the start: the members of S in the smallest ball of radius r = 1, 2,
@@ -425,28 +390,29 @@ def brute_force_reference(target: TargetPoint, approx_set: ApproxSet,
                           x_max) -> MinimalPointSequence:
     """Literal scan of every canonical point of norm <= x_max.  Small X only."""
     x_max, norm_sq_max = _validate_x_max(x_max)
-    _check_set(target, approx_set)
+    approx_set.check_ambient(target.n + 1)
     comparator = _Comparator(target)
     cands = [c for c in _canonical_ball(target.n + 1, norm_sq_max)
              if approx_set.member(c)]
     if not cands:
-        raise EmptySet(f"no nonzero member of the approximation set with norm <= {x_max}")
+        raise EmptySet(f"no nonzero member of {approx_set!r} with norm <= {x_max}")
     entries = _sweep(cands, comparator)
     return MinimalPointSequence(target, approx_set, x_max, entries, norm_sq_max)
 
 
 def _window_candidates(target: TargetPoint, approx_set: ApproxSet,
-                       norm_sq_max: int, comparator: _Comparator) -> set[tuple[int, ...]]:
+                       x_max: Fraction, comparator: _Comparator) -> set[tuple[int, ...]]:
     """Candidate superset for the windowed scan, for any approximation set.
 
     Any point that beats some record has L < L_start (the first record), hence
-    every coordinate within |xi_0 x_k - xi_k x_0| <= L_start of the ray through
-    the target.  For each x_0 in [0, x_max] the full such window of Z^(n+1)
-    is enumerated and filtered by membership in S, so the set provably
-    contains every record-beater; the complete smallest-norm group of S is
-    included for the start convention.
+    |x_k - (xi_k/xi_0) x_0| < L_start/|xi_0| <= margin - 1 for every k.  For
+    each x_0 in [0, x_max] the plain window [floor(r_lo x_0) - margin,
+    ceil(r_hi x_0) + margin] of Z^(n+1), with [r_lo, r_hi] enclosing
+    xi_k/xi_0, is enumerated and filtered by membership in S, so the set
+    provably contains every record-beater; the complete smallest-norm group
+    of S is included for the start convention.  S is asked only member.
     """
-    x_max_str = f"{isqrt(norm_sq_max)}"
+    norm_sq_max = _validate_x_max(x_max)[1]
     bound_sq = 4
     first_group: list[tuple[int, ...]] = []
     while True:
@@ -457,9 +423,7 @@ def _window_candidates(target: TargetPoint, approx_set: ApproxSet,
             first_group = [c for c in members if sum(v * v for v in c) == ns0]
             break
         if bound_sq >= norm_sq_max:
-            raise EmptySet(
-                f"no nonzero member of the approximation set with norm <= {x_max_str}"
-            )
+            raise EmptySet(f"no nonzero member of {approx_set!r} with norm <= {x_max}")
         bound_sq = min(bound_sq * 4, norm_sq_max)
 
     start_keys = None
@@ -478,23 +442,9 @@ def _window_candidates(target: TargetPoint, approx_set: ApproxSet,
     rsnap = target.ratio_snapshot(bits)
 
     cands = set(first_group)
-    x0_max = isqrt(norm_sq_max)
-    n = target.n
-    for x0 in range(0, x0_max + 1):
-        if not _x0_allowed(approx_set, x0):
-            continue
-        if x0 == 0:
-            axes = [_allowed_range(approx_set, k, -margin, margin)
-                    for k in range(1, n + 1)]
-        else:
-            axes = []
-            for k in range(1, n + 1):
-                rlo, rhi = rsnap[k - 1]
-                tlo = (rlo * x0) >> bits
-                thi = -((-rhi * x0) >> bits)
-                axes.append(_allowed_range(approx_set, k, tlo - margin, thi + margin))
-        if any(not a for a in axes):
-            continue
+    for x0 in range(isqrt(norm_sq_max) + 1):
+        axes = [range(((rlo * x0) >> bits) - margin, -((-rhi * x0) >> bits) + margin + 1)
+                for rlo, rhi in rsnap]
         budget = norm_sq_max - x0 * x0
         for rest in product(*axes):
             if sum(v * v for v in rest) <= budget:
@@ -512,9 +462,9 @@ def exhaustive_scan(target: TargetPoint, approx_set: ApproxSet,
     """Windowed exhaustive scan, its windows sized once by the first record
     (not the enumerator's record windows), for every kind of set S."""
     x_max, norm_sq_max = _validate_x_max(x_max)
-    _check_set(target, approx_set)
+    approx_set.check_ambient(target.n + 1)
     comparator = _Comparator(target)
-    cands = _window_candidates(target, approx_set, norm_sq_max, comparator)
+    cands = _window_candidates(target, approx_set, x_max, comparator)
     entries = _sweep(cands, comparator)
     return MinimalPointSequence(target, approx_set, x_max, entries, norm_sq_max)
 
@@ -625,7 +575,7 @@ def read_csv(target: TargetPoint, approx_set: ApproxSet, x_max,
     import csv
 
     x_max, norm_sq_max = _validate_x_max(x_max)
-    _check_set(target, approx_set)
+    approx_set.check_ambient(target.n + 1)
     name = getattr(fileobj, "name", "the minimal-point CSV")
     header = _csv_header(target.n)
     reader = csv.reader(fileobj)
@@ -694,7 +644,7 @@ def verify_minimality(seq: MinimalPointSequence) -> int:
     comparator = _Comparator(seq.target)
     if not seq.entries:
         raise PropertyViolated("the sequence has no entries")
-    cands = _window_candidates(seq.target, seq.approx_set, seq.norm_sq_max, comparator)
+    cands = _window_candidates(seq.target, seq.approx_set, seq.x_max, comparator)
     import bisect
 
     first = seq.entries[0]

@@ -48,29 +48,39 @@ class IntegerPoint:
 
 
 class ApproxSet:
-    """Base class for the sets of integer points allowed to approximate."""
+    """Base class for the sets of integer points allowed to approximate: a
+    product of per-coordinate conditions allowed(index, value), unless a
+    subclass overrides member and box_members."""
 
-    kind = "abstract"
+    def allowed(self, index: int, value: int) -> bool:
+        return True
 
     def member(self, coords: Sequence[int]) -> bool:
-        raise NotImplementedError
+        return all(self.allowed(i, v) for i, v in enumerate(coords))
+
+    def check_ambient(self, dim: int) -> None:
+        """DomainError unless S is a set of points of Z^dim."""
 
     def box_members(self, x0: int, windows: Sequence[tuple[int, int]]
                     ) -> Iterator[tuple[int, ...]]:
         """Every member (x0, x_1, ..., x_n) with each x_k in windows[k-1],
-        a closed range [lo, hi] (empty when lo > hi), each once."""
-        for rest in product(*(range(lo, hi + 1) for lo, hi in windows)):
-            coords = (x0,) + rest
-            if self.member(coords):
-                yield coords
+        a closed range [lo, hi] (empty when lo > hi), each once, in
+        lexicographic order: the product of each coordinate's allowed values."""
+        if not self.allowed(0, x0):
+            return
+        axes = [(x0,)]
+        for k, (lo, hi) in enumerate(windows, 1):
+            axis = [v for v in range(lo, hi + 1) if self.allowed(k, v)]
+            if not axis:
+                return
+            axes.append(axis)
+        yield from product(*axes)
 
     def describe(self) -> dict:
         raise NotImplementedError
 
 
 class FullLattice(ApproxSet):
-    kind = "full"
-
     def member(self, coords: Sequence[int]) -> bool:
         return True
 
@@ -83,8 +93,6 @@ class FullLattice(ApproxSet):
 
 class CongruenceSet(ApproxSet):
     """Points whose listed coordinates lie in given residue classes mod m."""
-
-    kind = "congruence"
 
     def __init__(self, modulus: int, residues: Mapping[int, Iterable[int]]):
         if modulus < 2:
@@ -101,8 +109,10 @@ class CongruenceSet(ApproxSet):
         rs = self.residues.get(index)
         return rs is None or (value % self.modulus) in rs
 
-    def member(self, coords: Sequence[int]) -> bool:
-        return all(self.allowed(i, v) for i, v in enumerate(coords))
+    def check_ambient(self, dim: int) -> None:
+        for k in self.residues:
+            if not 0 <= k < dim:
+                raise DomainError(f"residue index {k} of {self!r} is outside 0..{dim - 1}")
 
     def describe(self) -> dict:
         return {
@@ -117,8 +127,6 @@ class CongruenceSet(ApproxSet):
 
 class Sublattice(ApproxSet):
     """The integer span of an explicit full-column-rank basis."""
-
-    kind = "sublattice"
 
     def __init__(self, basis: Sequence[Sequence[int]]):
         if not all(isinstance(v, int) for row in basis for v in row):
@@ -157,6 +165,10 @@ class Sublattice(ApproxSet):
             acc = [a - c * b for a, b in zip(acc, row)]
             col = p + 1
         return not any(acc[col:])
+
+    def check_ambient(self, dim: int) -> None:
+        if self.ambient != dim:
+            raise DomainError(f"{self!r} has ambient dimension {self.ambient}, not {dim}")
 
     def box_members(self, x0: int, windows: Sequence[tuple[int, int]]
                     ) -> Iterator[tuple[int, ...]]:
@@ -326,7 +338,7 @@ def _coord_from_doc(doc) -> RigorousReal:
     raise SchemaError(f"unknown coordinate type {t!r}")
 
 
-def _approx_set_from_doc(doc, n: int) -> ApproxSet:
+def _approx_set_from_doc(doc) -> ApproxSet:
     if doc is None:
         return FullLattice()
     if not isinstance(doc, dict) or "type" not in doc:
@@ -347,8 +359,6 @@ def _approx_set_from_doc(doc, n: int) -> ApproxSet:
         except ValueError as e:
             raise SchemaError(f"bad residues: {e}") from None
         for k, v in residues.items():
-            if not 0 <= k <= n:
-                raise SchemaError(f"residue index {k} is outside 0..{n}")
             if not isinstance(v, list) or not all(isinstance(r, int) for r in v):
                 raise SchemaError(f"residues of coordinate {k} must be a list of integers")
         try:
@@ -380,13 +390,13 @@ def load_target(doc: dict) -> tuple[TargetPoint, ApproxSet]:
             f"expected {doc['n'] + 1} coordinates for n={doc['n']}, got {len(coords_doc)}"
         )
     coords = [_coord_from_doc(c) for c in coords_doc]
-    approx = _approx_set_from_doc(doc.get("S"), doc["n"])
-    if isinstance(approx, Sublattice) and approx.ambient != doc["n"] + 1:
-        raise SchemaError(
-            f"sublattice ambient dimension {approx.ambient} != n+1 = {doc['n'] + 1}"
-        )
+    # the document's own faults are SchemaErrors; any other DomainError (an
+    # undecidable sign of xi_0, a bad precision cap) passes through
+    if rigorous.sign(coords[0]) == 0:
+        raise SchemaError("xi_0 is zero")
+    approx = _approx_set_from_doc(doc.get("S"))
     try:
-        target = TargetPoint(coords, description=doc)
+        approx.check_ambient(len(coords))
     except DomainError as e:
         raise SchemaError(str(e)) from None
-    return target, approx
+    return TargetPoint(coords, description=doc), approx

@@ -4,6 +4,7 @@ import io
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -148,15 +149,52 @@ def test_oracles_agree_on_random_congruence_sets(sqrt2, cubic):
         target, _ = rng.choice([sqrt2, cubic])
         x_max = 150 if target.n == 1 else 25
         m = rng.randint(2, 5)
-        index = rng.randint(0, target.n)
-        residues = rng.sample(range(m), rng.randint(1, m - 1))
-        approx = model.CongruenceSet(m, {index: residues})
+        indices = rng.sample(range(target.n + 1), rng.randint(1, 2))
+        approx = model.CongruenceSet(
+            m, {i: rng.sample(range(m), rng.randint(1, m - 1)) for i in indices})
         fast = enumerate_minimal_points(target, approx, x_max)
         assert all(approx.member(p) for p in fast.points()), approx
         assert brute_force_reference(target, approx, x_max).points() == fast.points(), approx
         assert exhaustive_scan(target, approx, x_max).points() == fast.points(), approx
+        verify_properties(fast)
+        verify_minimality(fast)
         past_start_ball += fast.entries[-1].norm_sq > 64
     assert past_start_ball > 0
+
+
+FAR_CONGRUENCE = model.CongruenceSet(1000, {0: [500], 1: [500]})
+
+
+def test_far_congruence_set_is_listed_axis_by_axis(sqrt2, monkeypatch):
+    # the set lists its members axis by axis, skipping every x_0 it does not
+    # allow, instead of testing member on every point of the box
+    target, _ = sqrt2
+    calls = 0
+    allowed, member = model.CongruenceSet.allowed, model.CongruenceSet.member
+
+    def counted(method):
+        def wrapper(*args):
+            nonlocal calls
+            calls += 1
+            return method(*args)
+        return wrapper
+
+    monkeypatch.setattr(model.CongruenceSet, "allowed", counted(allowed))
+    monkeypatch.setattr(model.CongruenceSet, "member", counted(member))
+    assert enumerate_minimal_points(target, FAR_CONGRUENCE, 2000).points() == [(500, 500)]
+    assert calls < 20_000
+
+
+@pytest.mark.parametrize("entry", [
+    enumerate_minimal_points, brute_force_reference, exhaustive_scan,
+], ids=["enumerate", "brute_force", "exhaustive_scan"])
+def test_empty_set_names_the_set_and_the_bound(sqrt2, entry):
+    target, _ = sqrt2
+    start = time.process_time()
+    with pytest.raises(EmptySet) as err:
+        entry(target, FAR_CONGRUENCE, 100)
+    assert time.process_time() - start < 0.1
+    assert repr(FAR_CONGRUENCE) in str(err.value) and "norm <= 100" in str(err.value)
 
 
 def test_oracles_agree_on_random_sublattices(sqrt2):

@@ -2,13 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from simra import rigorous
 from simra.errors import AmbientMismatch, DomainError, SchemaError, ZeroPoint
 from simra.model import (
-    ApproxSet,
     CongruenceSet,
     FullLattice,
     IntegerPoint,
@@ -149,28 +149,36 @@ def test_sublattice_member_by_definition():
 
 
 def test_sublattice_box_members_match_membership_filter():
+    # every listing (the Hermite walk of a sublattice, the per-axis product
+    # of a congruence set or the full lattice) against the literal reference:
+    # every box point, filtered by member
     rng = random.Random(5)
-    bases = 0
-    while bases < 60:
+    sets = [(FullLattice(), ambient) for ambient in (2, 3, 4)]
+    while len(sets) < 63:
         ambient = rng.randint(2, 4)
         k = rng.randint(1, ambient)  # k < ambient: a lattice in a proper subspace
         basis = [[rng.randint(-4, 4) for _ in range(ambient)] for _ in range(k)]
         try:
-            lat = Sublattice(basis)
+            sets.append((Sublattice(basis), ambient))
         except DomainError:
             continue
-        bases += 1
+    for _ in range(40):
+        ambient, m = rng.randint(2, 4), rng.randint(2, 5)
+        indices = rng.sample(range(ambient), rng.randint(1, ambient))
+        sets.append((CongruenceSet(m, {i: rng.sample(range(m), rng.randint(1, m - 1))
+                                       for i in indices}), ambient))
+    for approx, ambient in sets:
         for _ in range(10):
             x0 = rng.randint(-6, 6)
             windows = []
             for _ in range(ambient - 1):
                 lo = rng.randint(-7, 5)
                 windows.append((lo, lo + rng.randint(-1, 6)))  # hi = lo - 1: empty
-            got = list(lat.box_members(x0, windows))
-            assert len(got) == len(set(got)), (basis, x0, windows)
-            # the base class: every box point filtered by member
-            want = list(ApproxSet.box_members(lat, x0, windows))
-            assert sorted(got) == want, (basis, x0, windows)
+            got = list(approx.box_members(x0, windows))
+            assert len(got) == len(set(got)), (approx, x0, windows)
+            want = [c for c in product([x0], *(range(lo, hi + 1) for lo, hi in windows))
+                    if approx.member(c)]
+            assert sorted(got) == want, (approx, x0, windows)
 
 
 def test_target_requires_nonzero_first_coordinate():
@@ -286,6 +294,19 @@ def test_set_configs_are_not_truncated(S, message):
     doc = dict(SQRT2_DOC, S=S)
     with pytest.raises(SchemaError, match=message):
         load_target(doc)
+
+
+def test_load_target_schema_errors_are_the_documents_own(monkeypatch):
+    # a bad precision cap is not a fault of the document: it stays a DomainError
+    monkeypatch.setenv("SIMRA_PRECISION_CAP", "abc")
+    irrational_xi0 = dict(SQRT2_DOC, coords=SQRT2_DOC["coords"][::-1])
+    with pytest.raises(DomainError, match="SIMRA_PRECISION_CAP"):
+        load_target(irrational_xi0)
+    monkeypatch.delenv("SIMRA_PRECISION_CAP")
+    zero_xi0 = dict(SQRT2_DOC, coords=[{"type": "rational", "value": "0"},
+                                       SQRT2_DOC["coords"][1]])
+    with pytest.raises(SchemaError, match="xi_0"):
+        load_target(zero_xi0)
 
 
 def test_ratio_cache():
