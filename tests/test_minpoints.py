@@ -402,3 +402,64 @@ def test_comparator_ties_stop_at_the_precision_cap(monkeypatch):
                            match=f"at {cap} bits: raise SIMRA_PRECISION_CAP"):
             comparator.compare(comparator.keys(a), comparator.keys(b), a, b)
         monkeypatch.setenv("SIMRA_PRECISION_CAP", "128")
+
+
+def _two_handle_target():
+    # two separate handles on sqrt(2), so L(2, 3, 2) = L(2, 2, 3) through
+    # different branch keys
+    return model.TargetPoint([rational(1),
+                              rigorous.algebraic_root([-2, 0, 1], (1, 2)),
+                              rigorous.algebraic_root([-2, 0, 1], (1, 2))])
+
+
+def test_sweep_tie_names_the_record(monkeypatch):
+    monkeypatch.setenv("SIMRA_PRECISION_CAP", "128")
+    target = _two_handle_target()
+    comparator = minpoints._Comparator(target)
+    record = (2, 3, 2)
+    entries = [minpoints._entry(target, 0, record, 17, comparator.keys(record))]
+    with pytest.raises(TieUnresolved, match=re.escape("(2, 2, 3) and (2, 3, 2)")):
+        minpoints._sweep_below([(17, (2, 2, 3))], math.inf, entries, comparator)
+
+
+@pytest.mark.parametrize("target", [
+    *(presets.load_preset(name)[0] for name in presets.preset_names()),
+    model.TargetPoint([rational(Fraction(-7, 3)), rational(Fraction(3, 5)),
+                       rational(Fraction(11, 13))]),
+    model.TargetPoint([-sqrt(3), rational(1),
+                       rigorous.algebraic_root([-2, 0, 0, 1], (1, 2))]),
+    _two_handle_target(),
+], ids=[*presets.preset_names(), "rational", "negative-irrational-xi0", "two-handle"])
+def test_comparator_lower_bound_is_sound(target):
+    # lower(c) bounds 2^64 L(c) from below, so a point whose lower bound is
+    # above an entry's 64-bit upper bound is certifiably worse than the entry
+    rng = random.Random(11)
+    comparator = minpoints._Comparator(target)
+    ratios = [float(target.coords[k]) / float(target.coords[0])
+              for k in range(1, target.n + 1)]
+    points = []
+    while len(points) < 300:
+        scale = 10 ** rng.randint(0, 6)
+        x0 = rng.randint(-scale, scale)
+        # half near the target ray, where lower(c) and L(c) are closest
+        off = 3 if rng.random() < 0.5 else scale
+        c = (x0,) + tuple(round(r * x0) + rng.randint(-off, off) for r in ratios)
+        if any(c):
+            points.append(c)
+    keys = [comparator.keys(c) for c in points]
+    for c, k in zip(points, keys):
+        assert comparator.lower(c) << 192 <= comparator.l_interval(k, 256)[1]
+    decided = 0
+    for (c, kc), (e, ke) in zip(zip(points, keys), rng.sample(list(zip(points, keys)), 300)):
+        if comparator.lower(c) > comparator.upper(ke, e):
+            decided += 1
+            assert comparator.compare(kc, ke, c, e) == 1
+    assert decided > 0
+
+
+@pytest.mark.parametrize("preset, want", [("sqrt2", 5908), ("sqrt2-even-x0", 1223)])
+def test_minimality_check_count_at_2000(preset, want):
+    # the count the benchmark's oracle.json records as minimalityChecked
+    target, approx = presets.load_preset(preset)
+    seq = enumerate_minimal_points(target, approx, 2000)
+    assert verify_minimality(seq) == want
