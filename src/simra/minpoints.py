@@ -17,11 +17,18 @@ which a point is certifiably worse than the record, and the set lists its
 own members in those windows (ApproxSet.box_members).  Every approximation
 set takes this one path: S answers every question about itself
 (check_ambient, member, box_members), and nothing here branches on its
-kind.  Two independent cross-checks are kept, both filtering canonical
-points of Z^(n+1) by S.member alone: a literal scan of every canonical
-point (small X only) and a windowed scan whose plain per-coordinate
-windows are sized by the first record, which provably contain every point
-able to beat any later record.
+kind.
+
+Two independent oracles are kept, and both ask S only member: a literal
+scan of every canonical point of Z^(n+1) (small X only), and a windowed
+scan.  The windowed scan and verify_minimality list the same points: the
+smallest-norm group of S, then at each x_0 the members of S in plain
+per-coordinate windows sized by the start point, which provably contain
+every point able to beat any later record or to violate (c).  Each window
+is one table per axis holding every value's share of the point's 64-bit
+lower bound, so a point's lower bound is a max of table entries; the
+windowed scan drops the axis values whose share already exceeds the
+start point's error, since no point through them can become a record.
 
 All record comparisons are certified: branch values are tracked symbolically
 (so exact ties between branches are recognized, not fought numerically) and
@@ -32,11 +39,12 @@ worse than the record before any key is built.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import chain
 from math import isqrt
 from typing import Iterable, Optional, Sequence, Union
 
@@ -83,7 +91,8 @@ class _Comparator:
     Callers first pre-test a candidate against an entry at 64 bits, with
     plain integers and no keys: lower(coords) > upper(entry keys) certifies
     that the candidate is strictly worse, and compare decides only what the
-    pre-test leaves.  Key intervals are recomputed at each use; behind the
+    pre-test leaves; the window oracles take the same bound axis by axis
+    (axis_table).  Key intervals are recomputed at each use; behind the
     pre-test a cache of them bought no measurable time.
     """
 
@@ -106,6 +115,20 @@ class _Comparator:
             # the low end of _abs_iv(alo - bhi, ahi - blo), folded into best
             best = max(best, alo - bhi, blo - ahi)
         return best
+
+    def axis_table(self, x0: int, k: int, lo: int, hi: int,
+                   cutoff) -> list[tuple[int, int, int]]:
+        """(v, v^2, d) for each v in [lo, hi] whose d <= cutoff, where d is
+        the axis-k term of lower: lower(c) = max(0, max_k d_k(c_0, c_k))."""
+        zlo, zhi = self._snap[0]
+        blo, bhi = _scaled(x0, *self._snap[k])
+        table = []
+        for v in range(lo, hi + 1):
+            alo, ahi = _scaled(v, zlo, zhi)
+            d = max(alo - bhi, blo - ahi)
+            if d <= cutoff:
+                table.append((v, v * v, d))
+        return table
 
     def upper(self, keys: tuple, point) -> int:
         """Certified upper bound of 2^64 L, the entry's side of the pre-test;
@@ -427,71 +450,85 @@ def brute_force_reference(target: TargetPoint, approx_set: ApproxSet,
     return MinimalPointSequence(target, approx_set, x_max, entries, norm_sq_max)
 
 
-def _window_candidates(target: TargetPoint, approx_set: ApproxSet,
-                       x_max: Fraction, comparator: _Comparator) -> set[tuple[int, ...]]:
-    """Candidate superset for the windowed scan, for any approximation set.
-
-    Any point that beats some record has L < L_start (the first record), hence
-    |x_k - (xi_k/xi_0) x_0| < L_start/|xi_0| <= margin - 1 for every k.  For
-    each x_0 in [0, x_max] the plain window [floor(r_lo x_0) - margin,
-    ceil(r_hi x_0) + margin] of Z^(n+1), with [r_lo, r_hi] enclosing
-    xi_k/xi_0, is enumerated and filtered by membership in S, so the set
-    provably contains every record-beater; the complete smallest-norm group
-    of S is included for the start convention.  S is asked only member.
-    """
-    norm_sq_max = _validate_x_max(x_max)[1]
+def _start_group(comparator: _Comparator, approx_set: ApproxSet,
+                 x_max: Fraction, norm_sq_max: int) -> tuple[int, list, int]:
+    """The squared norm of the smallest-norm members of S (found in balls
+    of squared radius 4, 16, ... filtered by S.member), those members in
+    order, and the 64-bit upper bound of L at the start point, the one of
+    least L among them."""
     bound_sq = 4
-    first_group: list[tuple[int, ...]] = []
     while True:
-        members = [c for c in _canonical_ball(target.n + 1, min(bound_sq, norm_sq_max))
+        members = [c for c in _canonical_ball(comparator.n + 1, min(bound_sq, norm_sq_max))
                    if approx_set.member(c)]
         if members:
-            ns0 = min(sum(v * v for v in c) for c in members)
-            first_group = [c for c in members if sum(v * v for v in c) == ns0]
             break
         if bound_sq >= norm_sq_max:
             raise EmptySet(f"no nonzero member of {approx_set!r} with norm <= {x_max}")
         bound_sq = min(bound_sq * 4, norm_sq_max)
-
+    ns0 = min(sum(v * v for v in c) for c in members)
+    group = sorted(c for c in members if sum(v * v for v in c) == ns0)
     start = None  # (coords, keys)
-    for c in sorted(first_group):
+    for c in group:
         keys = comparator.keys(c)
         if start is None or comparator.compare(keys, start[1], c, start[0]) < 0:
             start = (c, keys)
+    return ns0, group, comparator.upper(start[1], start[0])
 
-    bits = _BASE_BITS
-    ls_lo, ls_hi, _ = comparator.l_interval(start[1], bits)
-    snap = target.snapshot(bits)
-    zlo, zhi = _abs_iv(*snap[0])
+
+def _window_points(comparator: _Comparator, approx_set: ApproxSet, norm_sq_max: int,
+                   start_hi: int, cutoff) -> Iterable[tuple[int, tuple[int, ...], int]]:
+    """(norm_sq, coords, lower(coords)) for the members of S in the plain
+    windows sized by the start point, whose 64-bit upper bound is start_hi.
+
+    Any point that beats some record has L < L_start, hence
+    |x_k - (xi_k/xi_0) x_0| < L_start/|xi_0| <= margin - 1 for every k.  For
+    each x_0 in [0, sqrt(norm_sq_max)] the window [floor(r_lo x_0) - margin,
+    ceil(r_hi x_0) + margin] of each axis, with [r_lo, r_hi] enclosing
+    xi_k/xi_0, becomes one table of (v, v^2, d_k) (_Comparator.axis_table)
+    without the values whose d_k exceeds cutoff; the points are the products
+    of the tables within the norm bound, their squared norms sums and their
+    lower bounds maxima of table entries.  S is asked only member.
+    """
+    zlo = _abs_iv(*comparator._snap[0])[0]
     if zlo <= 0:
         raise TieUnresolved("cannot bound |xi_0| away from zero for the window scan")
-    margin = -(-ls_hi // zlo) + 1
-    rsnap = target.ratio_snapshot(bits)
-
-    cands = set(first_group)
-    zero = (0,) * (target.n + 1)
+    margin = -(-start_hi // zlo) + 1
+    rsnap = comparator.target.ratio_snapshot(_BASE_BITS)
+    zero = (0,) * (comparator.n + 1)
     for x0 in range(isqrt(norm_sq_max) + 1):
-        axes = [range(((rlo * x0) >> bits) - margin, -((-rhi * x0) >> bits) + margin + 1)
-                for rlo, rhi in rsnap]
-        budget = norm_sq_max - x0 * x0
-        for rest in product(*axes):
-            if sum(v * v for v in rest) <= budget:
-                c = (x0,) + rest
-                # c > zero: canonical; the x_0 = 0 window is symmetric, so it
-                # holds the canonical form of every point it holds
-                if c > zero and approx_set.member(c):
-                    cands.add(c)
-    return cands
+        points = [(x0 * x0, (x0,), 0)]
+        for k, (rlo, rhi) in enumerate(rsnap, 1):
+            table = comparator.axis_table(x0, k, ((rlo * x0) >> _BASE_BITS) - margin,
+                                          -((-rhi * x0) >> _BASE_BITS) + margin, cutoff)
+            points = [(ns + vv, c + (v,), max(low, d)) for ns, c, low in points
+                      for v, vv, d in table if ns + vv <= norm_sq_max]
+        for p in points:
+            # c > zero: canonical; the x_0 = 0 window is symmetric, so it
+            # holds the canonical form of every point it holds
+            if p[1] > zero and approx_set.member(p[1]):
+                yield p
 
 
 def exhaustive_scan(target: TargetPoint, approx_set: ApproxSet,
                     x_max) -> MinimalPointSequence:
-    """Windowed exhaustive scan, its windows sized once by the first record
-    (not the enumerator's record windows), for every kind of set S."""
+    """Windowed exhaustive scan, for every kind of set S: the smallest-norm
+    group of S whole, then the points of the start point's plain windows
+    (_window_points), swept like the enumerator's candidates.
+
+    Its windows are sized once by the start point, not by the enumerator's
+    records, and S is asked only member.  An axis value whose d_k exceeds
+    the start's 64-bit upper bound is dropped before the product: every
+    point through it has L >= lower > L_start >= the L of every record, so
+    it can never become one (records after the start beat L_start, and the
+    start's own group is added whole).
+    """
     x_max, norm_sq_max = _validate_x_max(x_max)
     approx_set.check_ambient(target.n + 1)
     comparator = _Comparator(target)
-    cands = _window_candidates(target, approx_set, x_max, comparator)
+    _, group, start_hi = _start_group(comparator, approx_set, x_max, norm_sq_max)
+    cands = set(group)
+    cands.update(c for _, c, _ in _window_points(comparator, approx_set, norm_sq_max,
+                                                 start_hi, start_hi))
     entries = _sweep(cands, comparator)
     return MinimalPointSequence(target, approx_set, x_max, entries, norm_sq_max)
 
@@ -656,40 +693,48 @@ def verify_properties(seq: MinimalPointSequence) -> None:
 
 
 def verify_minimality(seq: MinimalPointSequence) -> int:
-    """Property (c) and the start convention up to x_max, over a candidate
-    superset that provably contains every potential violator; raises
+    """Property (c) and the start convention up to x_max; raises
     PropertyViolated.
 
-    A violator z has norm < X_{i+1} and L(z) < L_i for some i; since the L_i
-    decrease, the binding comparison is against the first entry whose
-    successor norm exceeds z (the L values only get smaller after it), and
-    against the last entry for every z past it.  No member of S may be
-    shorter than the first entry, which must beat, or tie and precede
-    lexicographically, every member of its norm.  A candidate whose
-    certified lower bound exceeds the binding entry's 64-bit upper bound
-    cannot be a violator (L(z) >= lower > L_i) and is passed without a
-    comparison; compare decides every other.  Returns the number of
-    candidates checked below the last entry's norm, counting both kinds.
+    The points checked are the smallest-norm group of S and every member of
+    S in the plain windows sized by the start point (_window_points, none
+    dropped), which provably contain every potential violator; S is asked
+    only member.  A violator z has norm < X_{i+1} and L(z) < L_i for some i;
+    since the L_i decrease, the binding comparison is against the first
+    entry whose successor norm exceeds z (the L values only get smaller
+    after it), and against the last entry for every z past it.  No member
+    of S may be shorter than the first entry, which must beat, or tie and
+    precede lexicographically, every member of its norm.  A point whose
+    certified lower bound exceeds every entry's 64-bit upper bound, or the
+    binding entry's, cannot be a violator (L(z) >= lower > L_i) and passes
+    without a comparison; compare decides every other.  Returns the number
+    of points checked below the last entry's norm, counting both kinds.
     """
     comparator = _Comparator(seq.target)
     if not seq.entries:
         raise PropertyViolated("the sequence has no entries")
-    cands = _window_candidates(seq.target, seq.approx_set, seq.x_max, comparator)
-    import bisect
+    ns0, group, start_hi = _start_group(comparator, seq.approx_set,
+                                        seq.x_max, seq.norm_sq_max)
+    window = _window_points(comparator, seq.approx_set, seq.norm_sq_max, start_hi, math.inf)
+    in_group = set(group)
+    points = chain([(ns0, c, comparator.lower(c)) for c in group],
+                   (p for p in window if p[0] != ns0 or p[1] not in in_group))
 
     first = seq.entries[0]
+    last_ns = seq.entries[-1].norm_sq
     next_norms = [nxt.norm_sq for nxt in seq.entries[1:]]
     uppers = [comparator.upper(e.branch_keys, e.point.coords) for e in seq.entries]
+    top = max(uppers)
     checked = 0
-    for c in cands:
-        ns = sum(v * v for v in c)
+    for ns, c, low in points:
         if ns < first.norm_sq:
             raise PropertyViolated(
                 f"point {c} of S is shorter than the start point {first.point.coords}")
+        checked += ns < last_ns
+        if low > top:
+            continue
         i = bisect.bisect_right(next_norms, ns)
-        if i < len(next_norms):
-            checked += 1
-        if comparator.lower(c) > uppers[i]:
+        if low > uppers[i]:
             continue
         e = seq.entries[i]
         cmp_ = comparator.compare(comparator.keys(c), e.branch_keys, c, e.point.coords)

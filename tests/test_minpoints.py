@@ -422,7 +422,7 @@ def test_sweep_tie_names_the_record(monkeypatch):
         minpoints._sweep_below([(17, (2, 2, 3))], math.inf, entries, comparator)
 
 
-@pytest.mark.parametrize("target", [
+LOWER_BOUND_TARGETS = pytest.mark.parametrize("target", [
     *(presets.load_preset(name)[0] for name in presets.preset_names()),
     model.TargetPoint([rational(Fraction(-7, 3)), rational(Fraction(3, 5)),
                        rational(Fraction(11, 13))]),
@@ -430,11 +430,9 @@ def test_sweep_tie_names_the_record(monkeypatch):
                        rigorous.algebraic_root([-2, 0, 0, 1], (1, 2))]),
     _two_handle_target(),
 ], ids=[*presets.preset_names(), "rational", "negative-irrational-xi0", "two-handle"])
-def test_comparator_lower_bound_is_sound(target):
-    # lower(c) bounds 2^64 L(c) from below, so a point whose lower bound is
-    # above an entry's 64-bit upper bound is certifiably worse than the entry
-    rng = random.Random(11)
-    comparator = minpoints._Comparator(target)
+
+
+def _seeded_points(target, rng):
     ratios = [float(target.coords[k]) / float(target.coords[0])
               for k in range(1, target.n + 1)]
     points = []
@@ -446,6 +444,16 @@ def test_comparator_lower_bound_is_sound(target):
         c = (x0,) + tuple(round(r * x0) + rng.randint(-off, off) for r in ratios)
         if any(c):
             points.append(c)
+    return points
+
+
+@LOWER_BOUND_TARGETS
+def test_comparator_lower_bound_is_sound(target):
+    # lower(c) bounds 2^64 L(c) from below, so a point whose lower bound is
+    # above an entry's 64-bit upper bound is certifiably worse than the entry
+    rng = random.Random(11)
+    comparator = minpoints._Comparator(target)
+    points = _seeded_points(target, rng)
     keys = [comparator.keys(c) for c in points]
     for c, k in zip(points, keys):
         assert comparator.lower(c) << 192 <= comparator.l_interval(k, 256)[1]
@@ -457,9 +465,66 @@ def test_comparator_lower_bound_is_sound(target):
     assert decided > 0
 
 
-@pytest.mark.parametrize("preset, want", [("sqrt2", 5908), ("sqrt2-even-x0", 1223)])
+@pytest.mark.parametrize("preset, want", [
+    ("cbrt2", 30882), ("liouville-sqrt2", 1469), ("sqrt2", 5908), ("sqrt2-even-x0", 1223),
+])
 def test_minimality_check_count_at_2000(preset, want):
     # the count the benchmark's oracle.json records as minimalityChecked
     target, approx = presets.load_preset(preset)
     seq = enumerate_minimal_points(target, approx, 2000)
     assert verify_minimality(seq) == want
+
+
+@LOWER_BOUND_TARGETS
+def test_axis_tables_agree_with_the_lower_bound(target):
+    # the window scan's per-axis tables give every point's lower bound as
+    # max(0, max_k d_k), the value _Comparator.lower computes point by point
+    comparator = minpoints._Comparator(target)
+    for c in _seeded_points(target, random.Random(13)):
+        ds = [comparator.axis_table(c[0], k, c[k], c[k], math.inf) for k in range(1, len(c))]
+        assert [t[0][:2] for t in ds] == [(v, v * v) for v in c[1:]]
+        assert max(0, *(t[0][2] for t in ds)) == comparator.lower(c), c
+
+
+@pytest.mark.parametrize("n, x_max", [(1, 150), (2, 20)])
+def test_pruned_window_scan_with_negative_xi0(n, x_max):
+    # the window scan drops axis values by their lower-bound term before the
+    # product; with xi_0 < 0 the enclosure ends swap, and the literal ball
+    # scan must still agree
+    coords = [-sqrt(3), rational(1), rigorous.algebraic_root([-2, 0, 0, 1], (1, 2))]
+    target, approx = model.TargetPoint(coords[:n + 1]), model.FullLattice()
+    brute = brute_force_reference(target, approx, x_max)
+    assert len(brute) >= 4
+    assert exhaustive_scan(target, approx, x_max).points() == brute.points()
+    assert enumerate_minimal_points(target, approx, x_max).points() == brute.points()
+
+
+def test_verify_minimality_rejects_a_dropped_middle_entry(cubic):
+    # without entry j, its point beats entry j - 1 below the norm of entry
+    # j + 1; the verifier must compare it, not pass it on its lower bound
+    target, approx = cubic
+    seq = enumerate_minimal_points(target, approx, 2000)
+    assert len(seq) == 10
+    for j in range(1, len(seq) - 1):
+        cut = minpoints.MinimalPointSequence(
+            target, approx, seq.x_max, seq.entries[:j] + seq.entries[j + 1:],
+            seq.norm_sq_max)
+        verify_properties(cut)  # (a) and (b) still hold
+        dropped, before = seq.entries[j].point.coords, seq.entries[j - 1].point.coords
+        with pytest.raises(PropertyViolated,
+                           match=re.escape(f"point {dropped} violates minimality of {before}")):
+            verify_minimality(cut)
+
+
+@pytest.mark.parametrize("preset", ["sqrt2", "cbrt2"])
+def test_window_pruning_drops_exactly_the_points_above_the_cutoff(preset):
+    # exhaustive_scan's cutoff is the start's 64-bit upper bound; it must drop
+    # the points whose lower bound exceeds it and keep all others, those at
+    # the bound (such as the start point itself) included
+    target, approx = presets.load_preset(preset)
+    comparator = minpoints._Comparator(target)
+    _, _, start_hi = minpoints._start_group(comparator, approx, 300, 300 ** 2)
+    full = list(minpoints._window_points(comparator, approx, 300 ** 2, start_hi, math.inf))
+    pruned = list(minpoints._window_points(comparator, approx, 300 ** 2, start_hi, start_hi))
+    assert pruned == [p for p in full if p[2] <= start_hi]
+    assert any(p[2] == start_hi for p in pruned) and len(pruned) < len(full) / 2
