@@ -22,7 +22,8 @@ print("boundary curve for n=3 (uniform -> least admissible ordinary):")
 for lh, lam in spectra.frontier_rows(3, 9):
     lam_txt = "inf" if lam == float("inf") else f"{float(lam):.6f}"
     print(f"  {float(lh):.4f} -> {lam_txt}")
-print("each row satisfies mm_lhs(lh, lam, 3) = 1 exactly (up to bisection width)")
+print("each row satisfies mm_lhs(lh, lam, 3) = 1 to within the 1e-14 "
+      "bisection width")
 
 print()
 print("degree-2 preset (1, sqrt2, sqrt3-as-decimal), X <= 10^4:")

@@ -35,15 +35,24 @@ def _spectrum_poly(n: int) -> list[int]:
     return [-1] + [(n - 1) ** (k - 1) for k in range(1, n + 1)]
 
 
+def _tolerance(tol) -> Fraction:
+    """tol as an exact positive Fraction; DomainError if it is not one."""
+    try:
+        tol = Fraction(tol)
+    except (OverflowError, ValueError) as e:  # inf, nan, malformed text
+        raise DomainError(f"tol must be a finite number: {e}") from None
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+    return tol
+
+
 def lambda_n(n: int, tol: Union[Fraction, float] = Fraction(1, 10 ** 30)
              ) -> RigorousReal:
     """The unique positive root of the spectrum polynomial, refined so the
     enclosure width is at most tol."""
     if n < 2:
         raise DomainError("the spectrum corner needs n >= 2")
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    tol = _tolerance(tol)
     root = rigorous.algebraic_root(_spectrum_poly(n), (Fraction(0), Fraction(1)))
     bits = max(8, (tol.denominator // max(1, tol.numerator)).bit_length() + 2)
     rigorous.refine(root, bits)
@@ -54,12 +63,18 @@ def frontier(lambda_hat, n: int, tol: Fraction = Fraction(1, 10 ** 14)):
     """The least ordinary exponent compatible with uniform exponent
     lambda_hat: the root in [lambda_hat, oo) of mm_lhs(lambda_hat, x, n) = 1.
 
-    Returns an exact Fraction (bisection interval midpoint; exact closed
-    form for n = 2), or the infinity marker at lambda_hat = 1 where no
-    finite value satisfies the equation.
+    Returns an exact Fraction (exact closed form for n = 2), or the
+    infinity marker at lambda_hat = 1 where no finite value satisfies the
+    equation.  For n >= 3 the root is bisected from [lambda_hat, hi], hi
+    the first of max(1, 2 lambda_hat) * 2^j at which mm_lhs <= 1, until
+    the bracket is at most tol wide; the result is the midpoint of the
+    last bracket.  Each step is decided exactly by the integer sign test
+    transference.mm_lhs_exceeds_one, so the midpoint is the one an exact
+    Fraction bisection on mm_lhs reaches.
     """
     if n < 2:
         raise DomainError("the frontier needs n >= 2")
+    tol = _tolerance(tol)
     lam_hat = Fraction(lambda_hat)
     if not Fraction(1, n) <= lam_hat <= 1:
         raise DomainError(
@@ -71,17 +86,25 @@ def frontier(lambda_hat, n: int, tol: Fraction = Fraction(1, 10 ** 14)):
         return lam_hat
     if n == 2:
         return lam_hat ** 2 / (1 - lam_hat)
-    lo = lam_hat
+    p, q = lam_hat.numerator, lam_hat.denominator
+    above = transference.mm_lhs_exceeds_one
     hi = max(Fraction(1), 2 * lam_hat)
-    while transference.mm_lhs(lam_hat, hi, n) > 1:
+    while above(p, q, hi.numerator, hi.denominator, n):
         hi *= 2
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if transference.mm_lhs(lam_hat, mid, n) > 1:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+    width = hi - lam_hat
+    # Halving stops at the least step count with width / 2^steps <= tol.
+    steps = (math.ceil(width / tol) - 1).bit_length()
+    # After k steps the bracket is lam_hat + width * [a, a+1] / 2^k, and
+    # lam_hat + width * m / 2^k = (base * 2^k + step * m) / (scale * 2^k).
+    scale = q * width.denominator
+    base = p * width.denominator
+    step = q * width.numerator
+    a = 0
+    for k in range(1, steps + 1):
+        # keep the upper half when mm_lhs still exceeds 1 at the midpoint
+        a = 2 * a + above(p, q, (base << k) + step * (2 * a + 1), scale << k, n)
+    k = steps + 1
+    return Fraction((base << k) + step * (2 * a + 1), scale << k)
 
 
 def lambda_rows(n_lo: int = 2, n_hi: int = 10) -> list[tuple[int, RigorousReal]]:

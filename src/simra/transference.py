@@ -85,6 +85,27 @@ def mm_lhs(lambda_hat, lam, n: int):
     return lambda_hat * acc
 
 
+def mm_lhs_exceeds_one(p: int, q: int, num: int, den: int, n: int) -> bool:
+    """Whether mm_lhs(p/q, num/den, n) > 1, decided in integers.
+
+    All four integers must be positive; num/den need not be in lowest
+    terms.  Multiplying both sides by q (q num)^(n-1) turns the comparison
+    into
+
+        p * sum_{i<n} (p den)^i (q num)^(n-1-i)  >  q * (q num)^(n-1),
+
+    one Horner loop with no gcd.  Equality (mm_lhs exactly 1) is "not
+    above".  Nothing is validated, mm_lhs's num/den >= p/q included: the
+    caller (spectra.frontier's bisection) passes values it has checked.
+    """
+    a, b = p * den, q * num
+    acc = b_pow = 1
+    for _ in range(n - 1):
+        b_pow *= b
+        acc = acc * a + b_pow
+    return p * acc > q * b_pow
+
+
 def eps_threshold(alpha, beta, n: int) -> Fraction:
     """The smallness bound on eps under which the extremal structure appears:
     (1/4n) (alpha/beta)^n min(alpha, beta - alpha)."""

@@ -1,7 +1,9 @@
 """The exponent spectrum: corner roots, the frontier curve, preset reports."""
 
+import hashlib
 import io
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -86,6 +88,78 @@ def test_frontier_rows_satisfy_identity():
                 continue
             assert float(mm_lhs(lh, lam, n)) == pytest.approx(1.0, abs=1e-10)
             assert lam >= lh
+
+
+def _fraction_bracket(lam_hat, n):
+    """The bracket frontier's bisection starts from, found on mm_lhs."""
+    hi = max(Fraction(1), 2 * lam_hat)
+    while mm_lhs(lam_hat, hi, n) > 1:
+        hi *= 2
+    return lam_hat, hi
+
+
+def _fraction_bisection(lam_hat, n, tol=Fraction(1, 10 ** 14)):
+    """The reference: frontier's bisection run on exact mm_lhs values."""
+    lo, hi = _fraction_bracket(lam_hat, n)
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if mm_lhs(lam_hat, mid, n) > 1:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_frontier_equals_fraction_bisection_on_grid(n):
+    rows = frontier_rows(n, 401)
+    for lh, lam in rows[1:-1]:  # the two ends are closed-form cases
+        assert lam == _fraction_bisection(lh, n), (n, lh)
+
+
+def test_frontier_equals_fraction_bisection_on_random_pairs():
+    rng = random.Random(14)
+    for _ in range(150):
+        n = rng.randint(3, 9)
+        den = rng.randint(2, 10 ** rng.randint(1, 15))
+        lh = Fraction(1, n) + (1 - Fraction(1, n)) * Fraction(rng.randint(1, den - 1), den)
+        tols = [Fraction(rng.randint(1, 99), 10 ** rng.randint(0, 25))]
+        # a tol at which the bracket width lands exactly on it after j
+        # halvings, and one just either side: the step count's edge cases
+        lo, hi = _fraction_bracket(lh, n)
+        edge = (hi - lo) / 2 ** rng.randint(0, 60)
+        tols += [edge, edge * (1 - Fraction(1, 10 ** 20)),
+                 edge * (1 + Fraction(1, 10 ** 20))]
+        for tol in tols:
+            assert frontier(lh, n, tol) == _fraction_bisection(lh, n, tol), (n, lh, tol)
+
+
+@pytest.mark.parametrize("tol", [0, -1, Fraction(-1, 10 ** 14), -0.0,
+                                 math.inf, -math.inf, math.nan])
+def test_frontier_rejects_a_bad_tolerance(tol):
+    with pytest.raises(DomainError):
+        frontier(Fraction(1, 2), 3, tol)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+def test_lambda_n_rejects_a_non_finite_tolerance(tol):
+    with pytest.raises(DomainError):
+        lambda_n(3, tol=tol)
+
+
+# sha256 of the 401-point frontier CSVs, as recorded in bench/golden.json
+FRONTIER_CSV_SHA256 = {
+    3: "cbd71ce0cc76933a8d76cd626775260c952b9f9c0e1052129fefcb9143668545",
+    5: "7ec128bfb7640f0864710775f75f0cccbe67d85f0bc1ac5f6fd0c1c6ebc78f68",
+}
+
+
+@pytest.mark.parametrize("n", sorted(FRONTIER_CSV_SHA256))
+def test_frontier_csv_bytes_pinned(n):
+    buf = io.StringIO()
+    write_frontier_csv(buf, n, 401)
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == FRONTIER_CSV_SHA256[n]
 
 
 def test_lambda_csv():

@@ -24,6 +24,7 @@ from simra.transference import (
     growth_conditions,
     lemma41_check,
     mm_lhs,
+    mm_lhs_exceeds_one,
     phi_functions,
     verify_extremal_sequence,
 )
@@ -67,6 +68,38 @@ def test_mm_lhs_monotone_in_lambda():
     vals = [mm_lhs(lh, lam, 3) for lam in (0.7, 1.0, 2.0, 10.0, 1e6)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert vals[-1] == pytest.approx(lh, abs=1e-5)
+
+
+def _exceeds(lambda_hat: Fraction, x: Fraction, n: int, scale: int = 1) -> bool:
+    return mm_lhs_exceeds_one(lambda_hat.numerator, lambda_hat.denominator,
+                              x.numerator * scale, x.denominator * scale, n)
+
+
+def test_mm_lhs_exceeds_one_at_a_tie_and_on_either_side():
+    # lambda_hat = 1 / (1 + r + ... + r^(n-1)) and x = lambda_hat / r put
+    # mm_lhs(lambda_hat, x, n) at exactly 1: the test must say "not above"
+    # there, "above" just below x, and agree with mm_lhs everywhere.
+    rng = random.Random(2024)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        den = rng.randint(1, 10 ** rng.randint(1, 12))
+        r = Fraction(rng.randint(1, den), den)
+        lam_hat = 1 / sum(r ** k for k in range(n))
+        x = lam_hat / r
+        assert mm_lhs(lam_hat, x, n) == 1
+        scale = rng.randint(1, 10 ** 6)  # num/den need not be reduced
+        assert not _exceeds(lam_hat, x, n)
+        assert not _exceeds(lam_hat, x, n, scale)
+        for _ in range(5):
+            gap = Fraction(rng.randint(1, 10 ** 6), 10 ** rng.randint(6, 30))
+            sides = [x + gap * x]
+            if x > lam_hat:
+                sides.append(x - gap * (x - lam_hat) / (1 + gap))
+            for y in sides:
+                want = mm_lhs(lam_hat, y, n) > 1
+                assert want == (n > 1 and y < x)
+                assert _exceeds(lam_hat, y, n) == want
+                assert _exceeds(lam_hat, y, n, scale) == want
 
 
 def test_eps_threshold():
