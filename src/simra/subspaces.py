@@ -6,15 +6,18 @@ equality of bases.  The squared height of W is the Gram determinant of that
 basis (equivalently the sum of the squared k x k minors), an exact integer;
 the zero subspace and the full space both have squared height 1.
 
-All kernels are computed by integer row reduction of [A^T | I]: integer row
-operations keep every row of the shape (A c, c), so the rows whose left part
-vanishes enumerate exactly the kernel lattice, which is saturated by
-construction.  Saturation of an arbitrary spanning set is the double kernel.
+All kernels come from [A^T | I], whose integer row operations keep every row
+of the shape (A c, c).  One echelon pass over the left block leaves the rows
+whose left part vanishes, and their right parts are a basis of the kernel
+lattice, saturated by construction; the Hermite form of those rows alone is
+the canonical basis.  Saturation of an arbitrary spanning set is the double
+kernel, and the first kernel, the basis of W-perp, is kept on the subspace,
+so complements and intersections do not compute it again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
@@ -26,32 +29,49 @@ from .rigorous import RigorousReal
 IntVec = tuple[int, ...]
 
 
+def _echelon(rows: list[list[int]], ncols: int) -> list[int]:
+    """In-place row echelon form over the first ncols columns; returns the
+    pivot columns, so rows[:len(pivots)] are the echelon rows and the rest
+    vanish on those columns.
+
+    Each column is cleared by least-pivot reduction: every live row is
+    reduced modulo the live row whose entry is least in absolute value,
+    until one live row is left.
+    """
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        live = [i for i in range(r, len(rows)) if rows[i][c]]
+        while len(live) > 1:
+            p = min(live, key=lambda i: abs(rows[i][c]))
+            prow = rows[p]
+            rest = [p]
+            for i in live:
+                if i != p:
+                    q = rows[i][c] // prow[c]
+                    rows[i] = row = [a - q * b for a, b in zip(rows[i], prow)]
+                    if row[c]:
+                        rest.append(i)
+            live = rest
+        if live:
+            rows[r], rows[live[0]] = rows[live[0]], rows[r]
+            pivots.append(c)
+    return pivots
+
+
 def _row_hnf(rows: list[list[int]]) -> list[list[int]]:
     """In-place Hermite form by rows: echelon, positive pivots, entries above
     a pivot reduced into [0, pivot)."""
     if not rows:
         return rows
-    ncols = len(rows[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, len(rows)):
-            while rows[i][c] != 0:
-                q = rows[r][c] // rows[i][c]
-                rows[r] = [a - q * b for a, b in zip(rows[r], rows[i])]
-                rows[r], rows[i] = rows[i], rows[r]
-        if rows[r][c] < 0:
-            rows[r] = [-v for v in rows[r]]
-        for i in range(r):
-            q = rows[i][c] // rows[r][c]
+    for k, c in enumerate(_echelon(rows, len(rows[0]))):
+        if rows[k][c] < 0:
+            rows[k] = [-v for v in rows[k]]
+        prow = rows[k]
+        for i in range(k):
+            q = rows[i][c] // prow[c]
             if q:
-                rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
+                rows[i] = [a - q * b for a, b in zip(rows[i], prow)]
     return rows
 
 
@@ -62,12 +82,14 @@ def integer_kernel(rows: Sequence[Sequence[int]], ambient: Optional[int] = None
         if not rows:
             raise DomainError("ambient dimension needed for an empty constraint set")
         ambient = len(rows[0])
+    if any(len(row) != ambient for row in rows):
+        raise AmbientMismatch(f"constraint rows must have length {ambient}")
     m = len(rows)
     big = [[rows[i][j] for i in range(m)]
            + [1 if t == j else 0 for t in range(ambient)]
            for j in range(ambient)]
-    red = _row_hnf(big)
-    return [tuple(r[m:]) for r in red if not any(r[:m])]
+    rank = len(_echelon(big, m))
+    return [tuple(r) for r in _row_hnf([r[m:] for r in big[rank:]])]
 
 
 def _int_det(m: Sequence[Sequence[int]]) -> int:
@@ -114,24 +136,35 @@ def minor_square_sum(basis: Sequence[Sequence[int]]) -> int:
 
 @dataclass(frozen=True)
 class RationalSubspace:
-    """A rational subspace as the canonical basis of its saturated lattice."""
+    """A rational subspace as the canonical basis of its saturated lattice;
+    the basis of W-perp intersect Z^N is kept when known, computed on first
+    use otherwise, and takes no part in equality."""
 
     ambient: int
     basis: tuple[IntVec, ...]
     squared_height: int
+    _perp: Optional[tuple[IntVec, ...]] = field(default=None, compare=False)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
+    @property
+    def perp(self) -> tuple[IntVec, ...]:
+        """The canonical basis of W-perp intersect Z^N."""
+        if self._perp is None:
+            object.__setattr__(self, "_perp",
+                               tuple(integer_kernel(self.basis, self.ambient)))
+        return self._perp
+
     def member(self, vector: Sequence[int]) -> bool:
+        """v is in W exactly when v is orthogonal to every row of W-perp."""
         if len(vector) != self.ambient:
             raise AmbientMismatch(
                 f"vector has dimension {len(vector)}, ambient is {self.ambient}"
             )
-        rows = [[Fraction(v) for v in b] for b in self.basis]
-        rows.append([Fraction(v) for v in vector])
-        return _rank_q(rows) == self.dim
+        return not any(sum(Fraction(v) * p for v, p in zip(vector, row))
+                       for row in self.perp)
 
     def describe(self) -> dict:
         return {
@@ -146,28 +179,9 @@ class RationalSubspace:
                 f"H^2={self.squared_height})")
 
 
-def _rank_q(rows: list[list[Fraction]]) -> int:
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                f = rows[r][col] / rows[rank][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def _from_saturated(basis: list[IntVec], ambient: int) -> RationalSubspace:
-    return RationalSubspace(ambient, tuple(basis), gram_det(basis))
+def _from_saturated(basis: Sequence[IntVec], ambient: int,
+                    perp: Optional[tuple[IntVec, ...]] = None) -> RationalSubspace:
+    return RationalSubspace(ambient, tuple(basis), gram_det(basis), perp)
 
 
 def saturate(vectors: Sequence[Sequence[int]], ambient: Optional[int] = None
@@ -177,26 +191,27 @@ def saturate(vectors: Sequence[Sequence[int]], ambient: Optional[int] = None
     Dependent, duplicate, and zero inputs are all allowed; an empty list (with
     an explicit ambient dimension) gives the zero subspace.
     """
-    vecs = [tuple(int(v) for v in vec) for vec in vectors]
+    vecs = [tuple(vec) for vec in vectors]
+    if not all(isinstance(v, int) for vec in vecs for v in vec):
+        raise DomainError("spanning vector entries must be integers")
     if ambient is None:
         if not vecs:
             raise DomainError("ambient dimension needed for an empty spanning set")
         ambient = len(vecs[0])
     if any(len(v) != ambient for v in vecs):
         raise AmbientMismatch("spanning vectors differ in length")
-    perp = integer_kernel(vecs, ambient)
-    basis = integer_kernel(perp, ambient)
-    return _from_saturated(basis, ambient)
+    perp = tuple(integer_kernel(vecs, ambient))
+    return _from_saturated(integer_kernel(perp, ambient), ambient, perp)
 
 
 def zero_subspace(ambient: int) -> RationalSubspace:
-    return _from_saturated([], ambient)
+    return orthogonal_complement(full_space(ambient))
 
 
 def full_space(ambient: int) -> RationalSubspace:
     basis = [tuple(1 if t == j else 0 for t in range(ambient))
              for j in range(ambient)]
-    return _from_saturated(basis, ambient)
+    return _from_saturated(basis, ambient, ())
 
 
 def height(w: RationalSubspace) -> RigorousReal:
@@ -219,14 +234,12 @@ def sum_(a: RationalSubspace, b: RationalSubspace) -> RationalSubspace:
 def intersect(a: RationalSubspace, b: RationalSubspace) -> RationalSubspace:
     """A cap B as the common kernel of both orthogonal complements."""
     _check_ambient(a, b)
-    constraints = (integer_kernel(a.basis, a.ambient)
-                   + integer_kernel(b.basis, b.ambient))
-    basis = integer_kernel(constraints, a.ambient)
-    return _from_saturated(basis, a.ambient)
+    return _from_saturated(integer_kernel(a.perp + b.perp, a.ambient), a.ambient)
 
 
 def orthogonal_complement(w: RationalSubspace) -> RationalSubspace:
-    return _from_saturated(integer_kernel(w.basis, w.ambient), w.ambient)
+    """W-perp, whose own complement is W: (W-perp)-perp = W."""
+    return _from_saturated(w.perp, w.ambient, w.basis)
 
 
 def schmidt_ratio(a: RationalSubspace, b: RationalSubspace) -> dict:

@@ -180,8 +180,8 @@ def test_criterion_09_schmidt_fuzz(tmp_path):
     artifact = tmp_path / "schmidt_fuzz.json"
     artifact.write_text(json.dumps(rep, indent=2))
     max_ratio = Fraction(rep["maxRatioSq"])
-    ok = max_ratio <= 4 and rep["dualityExact"]
-    report(9, ok, f"1000 pairs: max ratioSq = {rep['maxRatioSq']} <= 4, "
+    ok = max_ratio <= 1 and rep["dualityExact"]
+    report(9, ok, f"1000 pairs: max ratioSq = {rep['maxRatioSq']} <= 1, "
                   f"duality exact, artifact {artifact.name}")
 
 

@@ -206,6 +206,17 @@ def test_schmidt_fuzz_deterministic_output(tmp_path, capsys):
     assert rep["dualityExact"] is True
 
 
+def test_schmidt_fuzz_golden_bytes(tmp_path, capsys):
+    golden = os.path.join(os.path.dirname(__file__), "..", "bench", "golden.json")
+    with open(golden, encoding="utf-8") as f:
+        want = json.load(f)["artifacts"]["spectrum.schmidt-fuzz/schmidt.json"]["sha256"]
+    path = tmp_path / "schmidt.json"
+    code, _ = run_cli(capsys, "schmidt-fuzz", "--dim", "5", "--count", "1000",
+                      "--seed", "1", "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == want
+
+
 def test_liouville_subcommand(tmp_path, capsys):
     path = tmp_path / "liou.json"
     code, _ = run_cli(capsys, "liouville", "--minpoly=-2,0,1",

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from simra.errors import AmbientMismatch
+from simra.errors import AmbientMismatch, DomainError
 from simra.subspaces import (
     RationalSubspace,
+    _row_hnf,
     full_space,
     gram_det,
     height,
@@ -147,6 +148,148 @@ def test_integer_kernel():
     assert w.dim == 2
     assert all(sum(v) == 0 for v in w.basis)
     assert integer_kernel([], 2) == [(1, 0), (0, 1)]
+
+
+def test_integer_kernel_rejects_rows_of_another_length():
+    with pytest.raises(AmbientMismatch):
+        integer_kernel([(1, 2, 3)], 2)
+    with pytest.raises(AmbientMismatch):
+        integer_kernel([(1, 2)], 3)
+    with pytest.raises(AmbientMismatch):
+        integer_kernel([(1, 2, 3), (1, 2)])
+
+
+@pytest.mark.parametrize("entry", [1.5, Fraction(3, 2), 2.0, Fraction(2)])
+def test_saturate_rejects_non_integer_entries(entry):
+    with pytest.raises(DomainError):
+        saturate([(entry, 2)])
+
+
+def _pairwise_euclid_hnf(rows):
+    """The former Hermite form, kept as the reference: each column is cleared
+    by pairwise Euclid steps against the pivot row."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return rows
+    r = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, len(rows)):
+            while rows[i][c] != 0:
+                q = rows[r][c] // rows[i][c]
+                rows[r] = [a - q * b for a, b in zip(rows[r], rows[i])]
+                rows[r], rows[i] = rows[i], rows[r]
+        if rows[r][c] < 0:
+            rows[r] = [-v for v in rows[r]]
+        for i in range(r):
+            q = rows[i][c] // rows[r][c]
+            if q:
+                rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    return rows
+
+
+def _random_matrix(rng):
+    """Rows with zero rows, dependent rows, more rows than columns and
+    entries up to 10^12 all drawn often."""
+    ncols = rng.randint(1, 6)
+    bound = rng.choice([1, 3, 9, 1000, 10 ** 12])
+    rows = [[rng.randint(-bound, bound) for _ in range(ncols)]
+            for _ in range(rng.randint(1, 7))]
+    for _ in range(rng.randint(0, 3)):
+        row = [0] * ncols
+        if rng.random() >= 0.3:
+            for src in rng.sample(rows, rng.randint(1, len(rows))):
+                c = rng.randint(-5, 5)
+                row = [a + c * b for a, b in zip(row, src)]
+        rows.insert(rng.randint(0, len(rows)), row)
+    if rng.random() < 0.2:
+        for row in rows:
+            row[rng.randrange(ncols)] = 0
+    return rows
+
+
+def test_row_hnf_matches_pairwise_euclid_reference():
+    rng = random.Random(2024)
+    for _ in range(3000):
+        rows = _random_matrix(rng)
+        assert _row_hnf([list(r) for r in rows]) == _pairwise_euclid_hnf(rows)
+    assert _row_hnf([]) == []
+    assert _row_hnf([[0, 0], [0, 0]]) == [[0, 0], [0, 0]]
+
+
+def _rank_q(rows):
+    """Rank over Q by Fraction elimination (an oracle independent of the
+    integer echelon)."""
+    rows = [[Fraction(v) for v in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_integer_kernel_against_its_definition():
+    rng = random.Random(31)
+    for _ in range(600):
+        rows = _random_matrix(rng)
+        ambient = len(rows[0])
+        kernel = integer_kernel(rows, ambient)
+        assert all(sum(a * b for a, b in zip(row, k)) == 0
+                   for row in rows for k in kernel)
+        assert len(kernel) == ambient - _rank_q(rows)
+        assert saturate(kernel, ambient).basis == tuple(kernel)
+
+
+def _fresh(w):
+    """The same subspace without its kept complement."""
+    return RationalSubspace(w.ambient, w.basis, w.squared_height)
+
+
+def test_kept_complements_match_fresh_saturation():
+    rng = random.Random(41)
+    for _ in range(300):
+        ambient = rng.randint(2, 5)
+        a, b = (saturate([[rng.randint(-9, 9) for _ in range(ambient)]
+                          for _ in range(rng.randint(1, ambient))], ambient)
+                for _ in range(2))
+        fa, fb = _fresh(a), _fresh(b)
+        assert a.perp == fa.perp == saturate(fa.perp, ambient).basis
+        comp = orthogonal_complement(a)
+        assert comp == saturate(integer_kernel(a.basis, ambient), ambient)
+        assert comp == orthogonal_complement(fa)
+        assert comp.perp == a.basis == orthogonal_complement(comp).basis
+        assert intersect(a, b) == intersect(fa, fb) == saturate(
+            integer_kernel(integer_kernel(a.basis, ambient)
+                           + integer_kernel(b.basis, ambient), ambient), ambient)
+        assert sum_(a, b) == sum_(fa, fb) == saturate(a.basis + b.basis, ambient)
+        assert sum_(a, b).perp == intersect(comp, orthogonal_complement(b)).basis
+
+
+def test_member_against_rank():
+    rng = random.Random(43)
+    for _ in range(300):
+        ambient = rng.randint(2, 5)
+        vecs = [[rng.randint(-3, 3) for _ in range(ambient)]
+                for _ in range(rng.randint(1, ambient - 1))]
+        w = saturate(vecs, ambient)
+        coeffs = [Fraction(rng.randint(-4, 4), 3) for _ in vecs]
+        inside = [sum(c * v[t] for c, v in zip(coeffs, vecs))
+                  for t in range(ambient)]
+        assert w.member(inside)
+        probe = [rng.randint(-2, 2) for _ in range(ambient)]
+        assert w.member(probe) == (_rank_q(vecs + [probe]) == _rank_q(vecs))
 
 
 def test_schmidt_fuzz_deterministic():
