@@ -491,11 +491,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SimraError as e:
-        sys.stdout.write(json_canonical(
-            {"error": {"type": type(e).__name__, "message": str(e)}}))
-        return 1
-    except (OSError, ValueError, ZeroDivisionError) as e:
+    except (SimraError, OSError, ValueError, ZeroDivisionError) as e:
         sys.stdout.write(json_canonical(
             {"error": {"type": type(e).__name__, "message": str(e)}}))
         return 1

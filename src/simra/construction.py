@@ -14,15 +14,14 @@ The families satisfy exact identities (sum, intersection, chain, nesting,
 full space) that hold for any spanning sequence, plus height-product and
 norm-product inequalities whose empirical constants this module measures.
 
-All rank and equality decisions are exact: fraction-free integer elimination
-for ranks, canonical saturated bases for subspace equality.
+All rank and equality decisions are exact: ranks come from the integer
+echelon pass of subspaces, subspace equality from canonical saturated bases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence, Union
 
 from . import subspaces
@@ -32,44 +31,31 @@ from .rigorous import RigorousReal
 from .subspaces import RationalSubspace
 
 
-class _Echelon:
-    """Incremental exact rank via fraction-free row reduction over Z."""
-
-    def __init__(self):
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
-
-    def add(self, vec: Sequence[int]) -> bool:
-        """Fold a vector in; True when it was independent of the span so far."""
-        v = [int(x) for x in vec]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                a, b = row[p], v[p]
-                v = [a * x - b * y for x, y in zip(v, row)]
-        piv = next((j for j, x in enumerate(v) if x), None)
-        if piv is None:
-            return False
-        g = 0
-        for x in v:
-            g = gcd(g, x)
-        if g > 1:
-            v = [x // g for x in v]
-        self.rows.append(v)
-        self.pivots.append(piv)
-        order = sorted(range(len(self.rows)), key=lambda i: self.pivots[i])
-        self.rows = [self.rows[i] for i in order]
-        self.pivots = [self.pivots[i] for i in order]
+def _independent(rows: list, vec: Sequence[int], ncols: int) -> bool:
+    """Append vec to rows when it raises their rank; True when it did."""
+    if len(subspaces._echelon(rows + [vec], ncols)) > len(rows):
+        rows.append(vec)
         return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+    return False
 
 
 def _points_of(seq) -> list[tuple[int, ...]]:
     if hasattr(seq, "entries"):
         return [e.point.coords for e in seq.entries]
     return [tuple(int(v) for v in p) for p in seq]
+
+
+def jump_indices(indices: Sequence[int], length: int) -> list[int]:
+    """The jump indices as ints, checked against a sequence of `length`
+    entries: DomainError unless 0 <= i_0 < i_1 < ..., InsufficientData when
+    the entry after the last index is past the end."""
+    idx = [int(i) for i in indices]
+    if not idx or idx[0] < 0 or any(a >= b for a, b in zip(idx, idx[1:])):
+        raise DomainError(f"jump indices {idx} must satisfy 0 <= i_0 < i_1 < ...")
+    if idx[-1] + 1 >= length:
+        raise InsufficientData(
+            f"family needs entry {idx[-1] + 1}, sequence has {length}")
+    return idx
 
 
 def select_indices(seq, i0: int, n: Optional[int] = None) -> list[int]:
@@ -94,13 +80,13 @@ def select_indices(seq, i0: int, n: Optional[int] = None) -> list[int]:
     if not 0 <= i0 < len(pts):
         raise DomainError(f"i0={i0} is outside the sequence (length {len(pts)})")
 
-    ech = _Echelon()
-    ech.add(pts[i0])
+    basis: list = []
+    _independent(basis, pts[i0], ambient)
     indices: list[int] = []
     for j in range(i0 + 1, len(pts)):
-        if ech.add(pts[j]):
+        if _independent(basis, pts[j], ambient):
             # rank jumped from t+1 to t+2: the largest index of rank t+1 is j-1
-            t = ech.rank - 2
+            t = len(basis) - 2
             if t == 0 and j - 1 != i0:
                 raise DomainError(
                     f"x_{i0 + 1} is proportional to x_{i0}: "
@@ -110,7 +96,7 @@ def select_indices(seq, i0: int, n: Optional[int] = None) -> list[int]:
             if len(indices) == n:
                 return indices
     raise InsufficientData(
-        f"rank reached only {ech.rank} of {n + 1} within {len(pts)} entries; "
+        f"rank reached only {len(basis)} of {n + 1} within {len(pts)} entries; "
         "cannot certify the largest index at the next level"
     )
 
@@ -135,28 +121,26 @@ class SubspaceFamily:
 def build_subspace_family(seq, indices: Sequence[int]) -> SubspaceFamily:
     """Locate every s(t, k) by backward rank scan and saturate both families."""
     pts = _points_of(seq)
+    if not pts:
+        raise InsufficientData("empty point sequence")
     ambient = len(pts[0])
     n = len(indices)
     if n < 2 or ambient != n + 1:
         raise DomainError(
             f"{n} indices for ambient dimension {ambient}; need n = ambient - 1 >= 2"
         )
-    indices = [int(i) for i in indices]
+    indices = jump_indices(indices, len(pts))
     i0 = indices[0]
-    if indices[-1] + 1 >= len(pts):
-        raise InsufficientData(
-            f"family needs entry {indices[-1] + 1}, sequence has {len(pts)}"
-        )
 
     s_tab: dict = {}
     for t in range(n):
         it = indices[t]
-        ech = _Echelon()
-        ech.add(pts[it + 1])
+        basis: list = []
+        _independent(basis, pts[it + 1], ambient)
         largest_s_of_dim: dict[int, int] = {}
         for s in range(it, i0 - 1, -1):
-            if ech.add(pts[s]):
-                largest_s_of_dim[ech.rank] = s
+            if _independent(basis, pts[s], ambient):
+                largest_s_of_dim[len(basis)] = s
         for k in range(1, t + 2):
             if k + 1 not in largest_s_of_dim:
                 raise InsufficientData(

@@ -133,7 +133,7 @@ class _Comparator:
     def upper(self, keys: tuple, point) -> int:
         """Certified upper bound of 2^64 L, the entry's side of the pre-test;
         raises DependentCoordinates where compare would."""
-        lo, hi, sat = self.l_interval(keys, _BASE_BITS)
+        lo, hi, sat, _ = self.l_interval(keys, _BASE_BITS)
         self._check_zero(keys, hi, lo, sat, point)
         return hi
 
@@ -173,18 +173,12 @@ class _Comparator:
         blo, bhi = _scaled(x0, *snap[k])
         return (*_abs_iv(alo - bhi, ahi - blo), self.sat[0] and self.sat[k])
 
-    def l_interval(self, keys: tuple, bits: int) -> tuple[int, int, bool]:
-        """Scaled-integer enclosure of max over branches, at scale 2^bits."""
-        lo = hi = 0
-        sat = True
-        first = True
-        for key in keys:
-            klo, khi, ksat = self._key_interval(key, bits)
-            if first:
-                lo, hi, sat, first = klo, khi, ksat, False
-            else:
-                lo, hi, sat = max(lo, klo), max(hi, khi), sat and ksat
-        return lo, hi, sat
+    def l_interval(self, keys: tuple, bits: int) -> tuple[int, int, bool, list]:
+        """Scaled-integer enclosure (lo, hi, saturated) of max over branches,
+        at scale 2^bits, followed by the per-key intervals it came from."""
+        ivs = [self._key_interval(key, bits) for key in keys]
+        return (max(v[0] for v in ivs), max(v[1] for v in ivs),
+                all(v[2] for v in ivs), ivs)
 
     def _check_zero(self, keys: tuple, hi: int, lo: int, sat: bool, point) -> None:
         if hi == 0 or (sat and lo <= 0):
@@ -200,14 +194,8 @@ class _Comparator:
             return 0
         bits = _BASE_BITS
         while True:
-            a = [self._key_interval(k, bits) for k in a_keys]
-            b = [self._key_interval(k, bits) for k in b_keys]
-            alo = max(v[0] for v in a)
-            ahi = max(v[1] for v in a)
-            blo = max(v[0] for v in b)
-            bhi = max(v[1] for v in b)
-            asat = all(v[2] for v in a)
-            bsat = all(v[2] for v in b)
+            alo, ahi, asat, a = self.l_interval(a_keys, bits)
+            blo, bhi, bsat, b = self.l_interval(b_keys, bits)
             self._check_zero(a_keys, ahi, alo, asat, a_point)
             self._check_zero(b_keys, bhi, blo, bsat, b_point)
             if ahi < blo:

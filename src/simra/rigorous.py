@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from enum import Enum
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import DomainError, NoSignChange, NotSquareFree, PrecisionCapExceeded
@@ -84,75 +84,45 @@ def _psign_at(coeffs: Sequence[int], num: int, den: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _pdivmod_q(a: Sequence[Fraction], b: Sequence[Fraction]):
-    """Long division over Q; returns (quotient, remainder)."""
+def _prem_q(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    """Remainder of long division over Q."""
     a = list(a)
     db, lb = len(b) - 1, b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 1)
     while len(a) - 1 >= db and any(a):
         if a[-1] == 0:
             a.pop()
             continue
         shift = len(a) - 1 - db
-        if shift < 0:
-            break
         coef = a[-1] / lb
-        q[shift] = coef
         for i in range(db + 1):
             a[shift + i] -= coef * b[i]
         a.pop()
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return q, a
+    return a
 
 
 def _pprimitive(coeffs: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a rational polynomial to a primitive integer one (positive lead)."""
-    from math import gcd, lcm
-
-    c = [Fraction(x) for x in coeffs]
-    while c and c[-1] == 0:
-        c.pop()
+    """Scale a rational polynomial by a positive rational to a primitive
+    integer one; () for the zero polynomial."""
+    c = _ptrim(coeffs)
     if not c:
         return ()
     mult = lcm(*[x.denominator for x in c])
     ints = [int(x * mult) for x in c]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    ints = [v // g for v in ints]
-    if ints[-1] < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
-
-
-def _pgcd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """gcd of two integer polynomials, returned primitive."""
-    fa = [Fraction(c) for c in _ptrim(a)]
-    fb = [Fraction(c) for c in _ptrim(b)]
-    while fb and any(fb):
-        _, r = _pdivmod_q(fa, fb)
-        fa, fb = fb, r
-        while len(fb) > 1 and fb[-1] == 0:
-            fb.pop()
-        if len(fb) == 1 and fb[0] == 0:
-            fb = []
-    return _pprimitive(fa)
+    g = gcd(*ints)
+    return tuple(v // g for v in ints)
 
 
 def _sturm_chain(coeffs: Sequence[int]) -> list[tuple[int, ...]]:
+    """p, p' and the negated remainders, each made primitive with its sign
+    kept.  The last member is gcd(p, p') up to a constant, and the sign
+    variations count the distinct roots of p, square free or not."""
     chain = [_ptrim(coeffs), _pderiv(coeffs)]
-    while chain[-1] and len(chain[-1]) > 1:
-        fa = [Fraction(c) for c in chain[-2]]
-        fb = [Fraction(c) for c in chain[-1]]
-        _, r = _pdivmod_q(fa, fb)
-        r = [-x for x in r]
-        prim = _pprimitive(r)
+    while len(chain[-1]) > 1:
+        r = _prem_q([Fraction(c) for c in chain[-2]],
+                    [Fraction(c) for c in chain[-1]])
+        prim = _pprimitive([-x for x in r])
         if not prim:
             break
-        # keep the sign of the remainder when making it primitive
-        if r and r[-1] != 0 and (r[-1] > 0) != (prim[-1] > 0):
-            prim = tuple(-v for v in prim)
         chain.append(prim)
     return [p for p in chain if p]
 
@@ -274,12 +244,12 @@ class _AlgebraicLeaf(_Desc):
     """The unique root of an integer polynomial in an isolating interval.
 
     State is a dyadic interval [a, b] / 2^p whose endpoints give opposite
-    signs of the square-free part, or an exact rational value when a dyadic
+    signs of the polynomial, or an exact rational value when a dyadic
     bisection point happens to hit the root.  Refinement is hybrid: interval
     Newton steps (quadratic convergence) with bisection as the fallback.
     """
 
-    __slots__ = ("coeffs", "sf", "sfd", "a", "b", "p", "exact")
+    __slots__ = ("coeffs", "deriv", "a", "b", "p", "exact")
 
     def __init__(self, coeffs: Sequence[int], lo: Fraction, hi: Fraction):
         super().__init__()
@@ -292,7 +262,8 @@ class _AlgebraicLeaf(_Desc):
         s_hi = _psign_at(coeffs, hi.numerator, hi.denominator)
         if s_lo == 0 or s_hi == 0:
             raise NoSignChange("an interval endpoint is a root of the polynomial")
-        g = _pgcd(coeffs, _pderiv(coeffs))
+        chain = _sturm_chain(coeffs)
+        g = chain[-1]
         if len(g) > 1:
             g_lo = _psign_at(g, lo.numerator, lo.denominator)
             g_hi = _psign_at(g, hi.numerator, hi.denominator)
@@ -300,27 +271,20 @@ class _AlgebraicLeaf(_Desc):
                 raise NotSquareFree(
                     "polynomial has a repeated root inside the isolating interval"
                 )
-            q, r = _pdivmod_q([Fraction(c) for c in coeffs],
-                              [Fraction(c) for c in g])
-            sf = _pprimitive(q)
-        else:
-            sf = _pprimitive([Fraction(c) for c in coeffs])
         if s_lo * s_hi > 0:
             raise NoSignChange("polynomial has the same sign at both endpoints")
-        nroots = count_real_roots(sf, lo, hi)
+        nroots = _variations(chain, lo) - _variations(chain, hi)
         if nroots != 1:
             raise NoSignChange(
                 f"interval does not isolate a single root (contains {nroots})"
             )
         self.coeffs = coeffs
-        self.sf = sf
-        self.sfd = _pderiv(sf)
+        self.deriv = chain[1]
         self.exact = None
         self._init_dyadic(lo, hi)
 
-    def _sf_sign(self, num: int, den_bits: int) -> int:
-        return _psign_at(self.sf, num, 1 << den_bits) if den_bits else \
-            _psign_at(self.sf, num, 1)
+    def _sign(self, num: int, den_bits: int) -> int:
+        return _psign_at(self.coeffs, num, 1 << den_bits)
 
     def _init_dyadic(self, lo: Fraction, hi: Fraction) -> None:
         p = 32
@@ -328,8 +292,8 @@ class _AlgebraicLeaf(_Desc):
             a = _frac_ceil_scaled(lo, p)
             b = _frac_floor_scaled(hi, p)
             if a < b:
-                sa = self._sf_sign(a, p)
-                sb = self._sf_sign(b, p)
+                sa = self._sign(a, p)
+                sb = self._sign(b, p)
                 if sa == 0:
                     self._collapse(Fraction(a, 1 << p))
                     return
@@ -354,11 +318,11 @@ class _AlgebraicLeaf(_Desc):
     def _bisect_once(self) -> None:
         self.a, self.b, self.p = self.a * 2, self.b * 2, self.p + 1
         m = (self.a + self.b) // 2
-        sm = self._sf_sign(m, self.p)
+        sm = self._sign(m, self.p)
         if sm == 0:
             self._collapse(Fraction(m, 1 << self.p))
             return
-        sa = self._sf_sign(self.a, self.p)
+        sa = self._sign(self.a, self.p)
         if sm == sa:
             self.a = m
         else:
@@ -367,7 +331,7 @@ class _AlgebraicLeaf(_Desc):
     def _deriv_interval(self) -> tuple[Fraction, Fraction]:
         lo, hi = self._interval()
         vlo = vhi = Fraction(0)
-        for c in reversed(self.sfd):
+        for c in reversed(self.deriv):
             # interval Horner: v*x + c with x in [lo, hi]
             cands = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
             vlo, vhi = min(cands) + c, max(cands) + c
@@ -378,7 +342,7 @@ class _AlgebraicLeaf(_Desc):
         if dlo <= 0 <= dhi:
             return False
         m = Fraction(self.a + self.b, 1 << (self.p + 1))
-        fm = _peval(self.sf, m)
+        fm = _peval(self.coeffs, m)
         if fm == 0:
             self._collapse(m)
             return True
@@ -405,11 +369,11 @@ class _AlgebraicLeaf(_Desc):
         b_new = min(_frac_ceil_scaled(nhi, p_new), self.b << (p_new - self.p))
         if not a_new < b_new:
             return False
-        sa = self._sf_sign(a_new, p_new)
+        sa = self._sign(a_new, p_new)
         if sa == 0:
             self._collapse(Fraction(a_new, 1 << p_new))
             return True
-        sb = self._sf_sign(b_new, p_new)
+        sb = self._sign(b_new, p_new)
         if sb == 0:
             self._collapse(Fraction(b_new, 1 << p_new))
             return True

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Optional, Sequence
 
 from . import rigorous
@@ -116,7 +117,7 @@ def _int_det(m: Sequence[Sequence[int]]) -> int:
 
 
 def gram_det(basis: Sequence[Sequence[int]]) -> int:
-    g = [[sum(u[t] * v[t] for t in range(len(u))) for v in basis] for u in basis]
+    g = [[sum(map(mul, u, v)) for v in basis] for u in basis]
     return _int_det(g)
 
 

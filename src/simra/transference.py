@@ -35,6 +35,7 @@ from typing import Optional, Sequence, Union
 from mpmath import iv
 
 from . import minpoints, model, rigorous
+from .construction import jump_indices
 from .errors import (DomainError, DomainTooShort, SandwichViolated,
                      TooFewPoints)
 from .ivcalc import (endpoints_fraction, frac_enclosure, frac_interval,
@@ -572,10 +573,10 @@ def lemma41_check(seq: minpoints.MinimalPointSequence, indices: Sequence[int],
     Phi_0 over the successors of the jump indices stays below the norm
     product times the top Phi at the last successor."""
     n = profile.n
-    idx = list(indices)
-    if len(idx) != n:
-        raise DomainError(f"{len(idx)} indices for a profile with n={n}")
     entries = seq.entries
+    if len(indices) != n:
+        raise DomainError(f"{len(indices)} indices for a profile with n={n}")
+    idx = jump_indices(indices, len(entries))
     lhs = None
     for i in idx:
         z = rig_interval(entries[i + 1].x_value)

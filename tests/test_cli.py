@@ -217,6 +217,36 @@ def test_schmidt_fuzz_golden_bytes(tmp_path, capsys):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == want
 
 
+# the analyze workload of the benchmark: one enumeration, then each analysis
+# reading its run directory; every artifact and manifest is pinned
+ANALYZE_OPS = [
+    ("enumerate", ["enumerate", "--preset", "cbrt2", "--xmax", "100000",
+                   "--out", "run"], "minimal_points.csv"),
+    ("exponents", ["exponents", "--run", "run"], "exponents.json"),
+    ("construct-0", ["construct", "--run", "run", "--i0", "0"], "family_i0_0.json"),
+    ("construct-1", ["construct", "--run", "run", "--i0", "1"], "family_i0_1.json"),
+    ("transfer", ["transfer", "--run", "run", "--alpha", "2/5", "--beta", "3/5"],
+     "transfer.json"),
+    ("extremal", ["extremal", "--run", "run", "--alpha", "1", "--beta", "1",
+                  "--eps", "0", "--C", "1"], "extremal.json"),
+    ("plot", ["plot", "--run", "run", "--what", "envelope"], "envelope.svg"),
+]
+
+
+def test_analyze_golden_bytes(tmp_path, capsys, monkeypatch):
+    golden = os.path.join(os.path.dirname(__file__), "..", "bench", "golden.json")
+    with open(golden, encoding="utf-8") as f:
+        want = json.load(f)["artifacts"]
+    monkeypatch.chdir(tmp_path)
+    for label, argv, artifact in ANALYZE_OPS:
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, out
+        for name in (artifact, "manifest.json"):
+            key = f"analyze.{label}/run/{name}"
+            got = hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+            assert got == want[key]["sha256"], key
+
+
 def test_liouville_subcommand(tmp_path, capsys):
     path = tmp_path / "liou.json"
     code, _ = run_cli(capsys, "liouville", "--minpoly=-2,0,1",

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -57,6 +58,17 @@ def test_build_family_synthetic():
 def test_family_needs_successor_entry():
     with pytest.raises(InsufficientData):
         build_subspace_family(SYNTH, [0, 3])  # entry 4 does not exist
+    with pytest.raises(InsufficientData):
+        build_subspace_family([], [0, 1])
+
+
+def test_family_rejects_negative_or_unordered_indices(cubic_seq_1e4):
+    assert len(cubic_seq_1e4) == 11
+    for idx in ([-3, -2], [2, 0], [1, 1]):
+        with pytest.raises(DomainError, match="0 <= i_0 < i_1"):
+            build_subspace_family(cubic_seq_1e4, idx)
+    with pytest.raises(InsufficientData, match="needs entry 11"):
+        build_subspace_family(cubic_seq_1e4, [4, 10])
 
 
 def test_verify_family_identities_synthetic():
@@ -151,3 +163,114 @@ def test_family_report_shape(cubic_seq_1e4):
     assert "1" in rep["levelHeightRatios"]
     assert "indexProductRatio" in rep
     assert set(rep["sTable"]) == {"0,1", "1,1", "1,2"}
+
+
+# -- the incremental elimination the ranks used before they moved to the
+# subspace echelon, kept as the reference for select_indices and the s-table
+
+
+class _ReferenceEchelon:
+    """Incremental exact rank via fraction-free row reduction over Z."""
+
+    def __init__(self):
+        self.rows, self.pivots = [], []
+
+    def add(self, vec):
+        v = [int(x) for x in vec]
+        for row, p in zip(self.rows, self.pivots):
+            if v[p]:
+                a, b = row[p], v[p]
+                v = [a * x - b * y for x, y in zip(v, row)]
+        piv = next((j for j, x in enumerate(v) if x), None)
+        if piv is None:
+            return False
+        g = 0
+        for x in v:
+            g = gcd(g, x)
+        self.rows.append([x // g for x in v])
+        self.pivots.append(piv)
+        order = sorted(range(len(self.rows)), key=lambda i: self.pivots[i])
+        self.rows = [self.rows[i] for i in order]
+        self.pivots = [self.pivots[i] for i in order]
+        return True
+
+
+def _reference_indices(pts, i0):
+    n = len(pts[0]) - 1
+    ech = _ReferenceEchelon()
+    ech.add(pts[i0])
+    indices = []
+    for j in range(i0 + 1, len(pts)):
+        if ech.add(pts[j]):
+            if len(ech.rows) == 2 and j - 1 != i0:
+                raise DomainError(
+                    f"x_{i0 + 1} is proportional to x_{i0}: "
+                    "the index table cannot start at i0"
+                )
+            indices.append(j - 1)
+            if len(indices) == n:
+                return indices
+    raise InsufficientData(
+        f"rank reached only {len(ech.rows)} of {n + 1} within {len(pts)} entries; "
+        "cannot certify the largest index at the next level"
+    )
+
+
+def _reference_s_table(pts, indices):
+    i0 = indices[0]
+    if indices[-1] + 1 >= len(pts):
+        raise InsufficientData(
+            f"family needs entry {indices[-1] + 1}, sequence has {len(pts)}")
+    s_tab = {}
+    for t, it in enumerate(indices):
+        ech = _ReferenceEchelon()
+        ech.add(pts[it + 1])
+        largest_s_of_dim = {}
+        for s in range(it, i0 - 1, -1):
+            if ech.add(pts[s]):
+                largest_s_of_dim[len(ech.rows)] = s
+        for k in range(1, t + 2):
+            if k + 1 not in largest_s_of_dim:
+                raise InsufficientData(
+                    f"no s in [{i0}, {it}] spans dimension {k + 1} with the "
+                    f"tail at {it + 1}; the index table is not certifiable"
+                )
+            s_tab[(t, k)] = largest_s_of_dim[k + 1]
+    return s_tab
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (DomainError, InsufficientData) as e:
+        return type(e), str(e)
+
+
+def _sequence_with_dependent_points(rng, ambient, length):
+    pts = []
+    while len(pts) < length:
+        if pts and rng.random() < 0.4:
+            a, b = rng.choice(pts), rng.choice(pts)
+            v = tuple(rng.randint(-3, 3) * x + rng.randint(-2, 2) * y
+                      for x, y in zip(a, b))
+        else:
+            v = tuple(rng.randint(-5, 5) for _ in range(ambient))
+        if any(v):
+            pts.append(v)
+    return pts
+
+
+def test_ranks_match_the_reference_elimination():
+    rng = random.Random(20261018)
+    families = 0
+    for _ in range(400):
+        ambient = rng.randint(3, 5)
+        pts = _sequence_with_dependent_points(rng, ambient, rng.randint(4, 16))
+        i0 = rng.randrange(len(pts) // 2 + 1)
+        assert _outcome(select_indices, pts, i0) == _outcome(_reference_indices, pts, i0)
+        idx = sorted(rng.sample(range(len(pts)), ambient - 1))
+        want = _outcome(_reference_s_table, pts, idx)
+        got = _outcome(lambda: build_subspace_family(pts, idx).s)
+        assert got == want, (pts, idx)
+        families += isinstance(want, dict)
+    assert families >= 40

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -234,3 +235,142 @@ def test_dyadic_bounds():
     lo, hi = rigorous.dyadic_bounds(sqrt(2), 16)
     assert lo <= SQRT2 * 2 ** 16 <= hi
     assert hi - lo <= 2
+
+
+# -- isolation on the square-free part p / gcd(p, p'), as done before one
+# Sturm chain of p served both the repeated-root check and the root count
+
+
+def _reference_divmod(a, b):
+    """Long division over Q; returns (quotient, remainder)."""
+    a = list(a)
+    db, lb = len(b) - 1, b[-1]
+    q = [Fraction(0)] * max(len(a) - db, 1)
+    while len(a) - 1 >= db and any(a):
+        if a[-1] == 0:
+            a.pop()
+            continue
+        shift = len(a) - 1 - db
+        coef = a[-1] / lb
+        q[shift] = coef
+        for i in range(db + 1):
+            a[shift + i] -= coef * b[i]
+        a.pop()
+    while len(a) > 1 and a[-1] == 0:
+        a.pop()
+    return q, a
+
+
+def _reference_primitive(coeffs):
+    """Primitive integer polynomial with a positive leading coefficient."""
+    c = [Fraction(x) for x in coeffs]
+    while c and c[-1] == 0:
+        c.pop()
+    if not c:
+        return ()
+    mult = lcm(*[x.denominator for x in c])
+    ints = [int(x * mult) for x in c]
+    g = gcd(*ints)
+    return tuple(v // g if ints[-1] > 0 else -v // g for v in ints)
+
+
+def _reference_pgcd(a, b):
+    fa = [Fraction(c) for c in rigorous._ptrim(a)]
+    fb = [Fraction(c) for c in rigorous._ptrim(b)]
+    while fb and any(fb):
+        _, r = _reference_divmod(fa, fb)
+        fa, fb = fb, r
+        if len(fb) == 1 and fb[0] == 0:
+            fb = []
+    return _reference_primitive(fa)
+
+
+class _ReferenceLeaf(rigorous._AlgebraicLeaf):
+    """The leaf refining on the square-free part of its polynomial."""
+
+    __slots__ = ()
+
+    def __init__(self, coeffs, lo, hi):
+        rigorous._Desc.__init__(self)
+        coeffs = rigorous._ptrim([int(c) for c in coeffs])
+        if len(coeffs) < 2:
+            raise DomainError("polynomial must have degree >= 1")
+        if not lo < hi:
+            raise DomainError("isolating interval must satisfy lo < hi")
+        s_lo = rigorous._psign_at(coeffs, lo.numerator, lo.denominator)
+        s_hi = rigorous._psign_at(coeffs, hi.numerator, hi.denominator)
+        if s_lo == 0 or s_hi == 0:
+            raise NoSignChange("an interval endpoint is a root of the polynomial")
+        g = _reference_pgcd(coeffs, rigorous._pderiv(coeffs))
+        sf = coeffs
+        if len(g) > 1:
+            g_lo = rigorous._psign_at(g, lo.numerator, lo.denominator)
+            g_hi = rigorous._psign_at(g, hi.numerator, hi.denominator)
+            if g_lo == 0 or g_hi == 0 or count_real_roots(g, lo, hi) > 0:
+                raise NotSquareFree(
+                    "polynomial has a repeated root inside the isolating interval"
+                )
+            sf, _ = _reference_divmod([Fraction(c) for c in coeffs],
+                                      [Fraction(c) for c in g])
+        sf = _reference_primitive(sf)
+        if s_lo * s_hi > 0:
+            raise NoSignChange("polynomial has the same sign at both endpoints")
+        nroots = count_real_roots(sf, lo, hi)
+        if nroots != 1:
+            raise NoSignChange(
+                f"interval does not isolate a single root (contains {nroots})"
+            )
+        self.coeffs = sf
+        self.deriv = rigorous._pderiv(sf)
+        self.exact = None
+        self._init_dyadic(lo, hi)
+
+
+def _pmul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _random_polynomial(rng):
+    p = [rng.randint(-6, 6) for _ in range(rng.randint(2, 5))]
+    if rng.random() < 0.5:
+        factor = [rng.randint(-8, 8), rng.randint(1, 3)]
+        p = _pmul(p, _pmul(factor, factor))
+    return p
+
+
+def _leaf_outcome(cls, coeffs, lo, hi):
+    try:
+        return cls(coeffs, lo, hi)
+    except (DomainError, NoSignChange, NotSquareFree) as e:
+        return type(e), str(e)
+
+
+def test_isolation_matches_the_square_free_reference():
+    rng = random.Random(20261018)
+    square_free = repeated = 0
+    for _ in range(600):
+        coeffs = _random_polynomial(rng)
+        lo = Fraction(rng.randint(-16, 16), rng.randint(1, 4))
+        hi = lo + Fraction(rng.randint(0, 16), rng.randint(1, 4))
+        got = _leaf_outcome(rigorous._AlgebraicLeaf, coeffs, lo, hi)
+        want = _leaf_outcome(_ReferenceLeaf, coeffs, lo, hi)
+        if isinstance(want, tuple):
+            assert got == want, (coeffs, lo, hi)
+            continue
+        assert not isinstance(got, tuple), (coeffs, lo, hi, got)
+        p = rigorous._ptrim(coeffs)
+        is_square_free = len(_reference_pgcd(p, rigorous._pderiv(p))) == 1
+        square_free += is_square_free
+        repeated += not is_square_free
+        for bits in (64, 200, 1000):
+            glo, ghi, _ = got.enclosure(bits)
+            wlo, whi, _ = want.enclosure(bits)
+            if is_square_free:
+                assert (glo, ghi) == (wlo, whi), (coeffs, lo, hi, bits)
+            else:
+                assert max(glo, wlo) <= min(ghi, whi), (coeffs, lo, hi, bits)
+    assert square_free >= 30 and repeated >= 20

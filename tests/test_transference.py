@@ -10,6 +10,7 @@ from simra import minpoints, model, presets, rigorous, spectra
 from simra.errors import (
     DomainError,
     DomainTooShort,
+    InsufficientData,
     SandwichViolated,
     TooFewPoints,
 )
@@ -340,6 +341,16 @@ def test_lemma41_chain_cubic(cubic_seq_1e4):
     assert out["lhs"] <= out["rhs"]
     with pytest.raises(DomainError):
         lemma41_check(cubic_seq_1e4, [0], p)
+
+
+def test_lemma41_validates_the_jump_indices(cubic_seq_1e4):
+    p = TransferenceProfile.power(2, 1, 1, "1/2", 1)
+    assert len(cubic_seq_1e4) == 11
+    with pytest.raises(InsufficientData, match="needs entry 12, sequence has 11"):
+        lemma41_check(cubic_seq_1e4, [10, 11], p)
+    for idx in ([-3, -2], [2, 0]):
+        with pytest.raises(DomainError, match="0 <= i_0 < i_1"):
+            lemma41_check(cubic_seq_1e4, idx, p)
 
 
 # -- growth conditions and the extremal verifier -------------------------------
