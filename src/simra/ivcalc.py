@@ -3,24 +3,36 @@
 The exact layer (rigorous.py) handles field operations and square roots; logs
 and general powers come from mpmath.iv.  These wrappers convert Fractions and
 RigorousReal enclosures into iv intervals without losing the certification:
-rationals enter through outward-rounded division, never through float.
+a rational enters as one outward-rounded division of its outward-rounded
+numerator and denominator, never through float, and its endpoints are cached.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import iv, libmp
+from mpmath.libmp import from_int, mpi_div, round_ceiling, round_floor
 
 from . import rigorous
 
 iv.prec = 192  # generous slack so 1e-10 tolerances are never rounding-bound
 
 
+@lru_cache(maxsize=4096)
+def _rational_mpi(p: int, q: int, prec: int):
+    """The endpoints of iv.mpf(p) / iv.mpf(q) at prec bits, q > 0: each
+    integer rounded outward, then one outward-rounded interval division."""
+    return mpi_div((from_int(p, prec, round_floor), from_int(p, prec, round_ceiling)),
+                   (from_int(q, prec, round_floor), from_int(q, prec, round_ceiling)),
+                   prec)
+
+
 def frac_enclosure(f):
     """Certified iv enclosure of a single rational."""
     f = Fraction(f)
-    return iv.mpf(f.numerator) / iv.mpf(f.denominator)
+    return iv.make_mpf(_rational_mpi(f.numerator, f.denominator, iv.prec))
 
 
 def frac_interval(lo, hi):

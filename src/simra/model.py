@@ -390,6 +390,10 @@ def load_target(doc: dict) -> tuple[TargetPoint, ApproxSet]:
             f"expected {doc['n'] + 1} coordinates for n={doc['n']}, got {len(coords_doc)}"
         )
     coords = [_coord_from_doc(c) for c in coords_doc]
+    # an enclosure is computed at its first read: read each coordinate here,
+    # so a faulty expression (a division by zero) fails as the document loads
+    for c in coords:
+        c.lo
     # the document's own faults are SchemaErrors; any other DomainError (an
     # undecidable sign of xi_0, a bad precision cap) passes through
     if rigorous.sign(coords[0]) == 0:

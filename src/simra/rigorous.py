@@ -2,9 +2,13 @@
 
 A RigorousReal is an immutable handle on a real number given by a descriptor
 (exact rational, decimal literal with its stated uncertainty, isolated
-algebraic root, or an expression tree over those).  Every handle carries a
-certified enclosure [lo, hi] containing the value; refinement produces a new
-handle with a tighter enclosure and never widens an earlier one.
+algebraic root, or an expression tree over those).  A handle computes its
+certified enclosure [lo, hi] of the value when it is first read, at 64 bits or
+tighter, and keeps it from then on; so building an expression costs nothing
+until a value is needed, and a fault of the expression (division by an
+enclosure that holds zero, the square root of a negative one) raises its
+DomainError at that first read.  refine produces a new handle with a tighter
+enclosure, computed at once, and never widens an earlier one.
 
 All endpoint arithmetic is exact (fractions.Fraction / big ints).  Only square
 roots and algebraic-root isolation introduce outward dyadic rounding, which is
@@ -491,46 +495,52 @@ class _Expr(_Desc):
 # public wrapper
 
 class RigorousReal:
-    """Immutable handle on a real number with an on-demand certified enclosure."""
+    """Immutable handle on a real number with a certified enclosure, computed
+    at its first read and kept from then on."""
 
-    __slots__ = ("_desc", "_lo", "_hi", "_sat")
+    __slots__ = ("_desc", "_box")
 
-    def __init__(self, desc: _Desc, bits: int = _START_BITS):
+    def __init__(self, desc: _Desc, box=None):
         self._desc = desc
-        lo, hi, sat = desc.enclosure(bits)
-        self._lo, self._hi, self._sat = lo, hi, sat
+        self._box = box  # (lo, hi, saturated) once read
+
+    def _enclosure(self) -> tuple[Fraction, Fraction, bool]:
+        box = self._box
+        if box is None:
+            box = self._box = self._desc.enclosure(_START_BITS)
+        return box
 
     # -- enclosure views ---------------------------------------------------
     @property
     def lo(self) -> Fraction:
-        return self._lo
+        return self._enclosure()[0]
 
     @property
     def hi(self) -> Fraction:
-        return self._hi
+        return self._enclosure()[1]
 
     @property
     def midpoint(self) -> Fraction:
-        return (self._lo + self._hi) / 2
+        return (self.lo + self.hi) / 2
 
     @property
     def radius(self) -> Fraction:
-        return (self._hi - self._lo) / 2
+        return (self.hi - self.lo) / 2
 
     @property
     def saturated(self) -> bool:
-        return self._sat
+        return self._enclosure()[2]
 
     @property
     def is_exact(self) -> bool:
-        return self._lo == self._hi
+        return self.lo == self.hi
 
     def __float__(self) -> float:
         return float(self.midpoint)
 
     def __repr__(self) -> str:
         if self.is_exact:
-            return f"RigorousReal(exact {self._lo})"
+            return f"RigorousReal(exact {self.lo})"
         return f"RigorousReal(~{float(self.midpoint):.12g}, rad~{float(self.radius):.3g})"
 
     # -- arithmetic --------------------------------------------------------
@@ -640,7 +650,7 @@ def refine(x: RigorousReal, bits: int) -> RigorousReal:
     if bits > cap:
         raise PrecisionCapExceeded(
             f"requested {bits} bits exceeds the {cap}-bit SIMRA_PRECISION_CAP")
-    out = RigorousReal(x._desc, bits)
+    out = RigorousReal(x._desc, x._desc.enclosure(bits))
     target = Fraction(1, 1 << bits) * max(Fraction(1), abs(out.midpoint))
     if out.radius > target:
         raise PrecisionCapExceeded(

@@ -273,6 +273,8 @@ def schmidt_fuzz(max_ambient: int = 5, count: int = 1000, seed: int = 1,
 
     if max_ambient < 2:
         raise DomainError("fuzz needs ambient dimension >= 2")
+    if count < 1:
+        raise DomainError("fuzz needs count >= 1")
     rng = random.Random(seed)
 
     def _random_subspace(ambient: int) -> Optional[RationalSubspace]:

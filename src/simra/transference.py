@@ -405,9 +405,8 @@ def estimate_exponents(seq: minpoints.MinimalPointSequence,
 # sandwich verification
 
 def _geometric_grid(a: Fraction, b: Fraction, count: int) -> list[Fraction]:
-    """A deterministic, roughly geometric rational grid from a to b."""
-    if count < 2 or b <= a:
-        return [a] if b == a else [a, b]
+    """A deterministic, roughly geometric rational grid from a to b, for
+    count >= 2 and 0 < a < b."""
     la, lb = math.log(float(a)), math.log(float(b))
     xs = [a]
     for j in range(1, count - 1):
@@ -466,6 +465,8 @@ def check_sandwich(seq: minpoints.MinimalPointSequence,
     witness X; everything else is reported, not asserted.  The geometric
     grid of [A, X_max] only reports psi, envelope and phi.
     """
+    if grid_count < 2:
+        raise DomainError("grid_count must be >= 2")
     a0 = profile.domain_start
     if seq.x_max <= a0 * 2:
         raise DomainTooShort(

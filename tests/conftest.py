@@ -6,7 +6,7 @@ session scoped so the whole suite pays for each of them once.
 
 import pytest
 
-from simra import minpoints, model, presets
+from simra import minpoints, model, presets, rigorous
 
 
 @pytest.fixture(scope="session")
@@ -35,3 +35,16 @@ def sqrt2_seq_1e5(sqrt2):
 def cubic_seq_1e4(cubic):
     target, approx = cubic
     return minpoints.enumerate_minimal_points(target, approx, 10 ** 4)
+
+
+@pytest.fixture()
+def compute_calls(monkeypatch):
+    """(descriptor class, bits) of every enclosure computation from here on:
+    each descriptor's _compute, counted."""
+    calls = []
+    for cls in rigorous._Desc.__subclasses__():
+        def counted(self, bits, _compute=cls._compute):
+            calls.append((type(self).__name__, bits))
+            return _compute(self, bits)
+        monkeypatch.setattr(cls, "_compute", counted)
+    return calls

@@ -162,6 +162,17 @@ def test_transfer_subcommand(cubic_run, capsys):
     assert len(rep["grid"]) >= 2
 
 
+@pytest.mark.parametrize("grid", ["1", "-3"])
+def test_transfer_rejects_a_short_grid(cubic_run, capsys, grid):
+    code, out = run_cli(capsys, "transfer", "--run", str(cubic_run),
+                        "--alpha", "2/5", "--beta", "3/5", "--grid", grid)
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert (err["type"], err["message"]) == ("DomainError", "grid_count must be >= 2")
+    assert not (cubic_run / "transfer.json").exists()
+    assert "transfer.json" not in json.loads(read(cubic_run / "manifest.json"))["files"]
+
+
 def test_extremal_subcommand(sqrt2_run, capsys):
     code, _ = run_cli(capsys, "extremal", "--run", str(sqrt2_run),
                       "--alpha", "1", "--beta", "1", "--eps", "0", "--C", "1")
@@ -204,6 +215,16 @@ def test_schmidt_fuzz_deterministic_output(tmp_path, capsys):
     assert texts[0] == texts[1]
     rep = json.loads(texts[0])
     assert rep["dualityExact"] is True
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_schmidt_fuzz_rejects_a_count_below_one(tmp_path, capsys, count):
+    path = tmp_path / "schmidt.json"
+    code, out = run_cli(capsys, "schmidt-fuzz", "--count", count, "--out", str(path))
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert (err["type"], err["message"]) == ("DomainError", "fuzz needs count >= 1")
+    assert not path.exists()
 
 
 def test_schmidt_fuzz_golden_bytes(tmp_path, capsys):

@@ -528,3 +528,18 @@ def test_window_pruning_drops_exactly_the_points_above_the_cutoff(preset):
     pruned = list(minpoints._window_points(comparator, approx, 300 ** 2, start_hi, start_hi))
     assert pruned == [p for p in full if p[2] <= start_hi]
     assert any(p[2] == start_hi for p in pruned) and len(pruned) < len(full) / 2
+
+
+def test_entries_are_built_without_enclosing(cubic, compute_calls):
+    # X and L of read_csv's rows, and model.l_value, are enclosed only when read
+    target, approx = cubic
+    seq = enumerate_minimal_points(target, approx, 2000)
+    buf = io.StringIO()
+    write_csv(seq, buf)
+    buf.seek(0)
+    compute_calls.clear()
+    back = read_csv(target, approx, 2000, buf)
+    l_val = model.l_value(target, (3, 4, 5))
+    assert len(back) == len(seq) and compute_calls == []
+    assert l_val.lo > 0 and back.entries[-1].x_value.hi > 0
+    assert compute_calls

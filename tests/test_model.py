@@ -249,6 +249,15 @@ def test_load_target_expr_and_decimal():
     assert target2.coords[1].saturated
 
 
+def test_load_target_reads_every_coordinate():
+    # enclosures are computed at their first read; load_target reads each
+    # coordinate, so a division by zero fails as the document loads
+    one, zero = {"type": "rational", "value": "1"}, {"type": "rational", "value": "0"}
+    doc = {"n": 2, "coords": [one, one, {"type": "expr", "op": "/", "args": [one, zero]}]}
+    with pytest.raises(DomainError, match="^division by an enclosure containing zero$"):
+        load_target(doc)
+
+
 def test_load_target_congruence_set():
     doc = dict(SQRT2_DOC)
     doc["S"] = {"type": "congruence", "modulus": 2, "residues": {"0": [0]}}

@@ -374,3 +374,55 @@ def test_isolation_matches_the_square_free_reference():
             else:
                 assert max(glo, wlo) <= min(ghi, whi), (coeffs, lo, hi, bits)
     assert square_free >= 30 and repeated >= 20
+
+
+# -- enclosures on first read ---------------------------------------------------
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: rational(1) / 0, "division by an enclosure containing zero"),
+    (lambda: sqrt(2) / (rational(3) - 3), "division by an enclosure containing zero"),
+    (lambda: sqrt(rational(-2)), "square root of a negative enclosure"),
+    (lambda: sqrt(decimal_literal("-2.5") * 2), "square root of a negative enclosure"),
+], ids=["div-rational", "div-expr", "sqrt-rational", "sqrt-decimal"])
+def test_expression_faults_raise_at_first_read(build, message):
+    # building the expression computes nothing, so it raises nothing; every
+    # read then raises the typed error the construction used to raise
+    x = build()
+    for read in (lambda: x.lo, lambda: float(x), lambda: enclosure(x, 96),
+                 lambda: compare(x, 1)):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            read()
+
+
+def test_building_computes_nothing_until_read(compute_calls):
+    x = (sqrt(2) + sqrt(3)) * algebraic_root([-2, 0, 0, 1], (1, 2)) - Fraction(1, 3)
+    y = maximum(abs(x), x / 7, -x)
+    assert compute_calls == []
+    assert y.radius <= Fraction(1, 2 ** 64) * max(1, abs(y.midpoint))
+    assert compute_calls[0] == ("_Expr", 64)
+    done = len(compute_calls)
+    assert not y.saturated and y.lo < y.midpoint < y.hi
+    assert len(compute_calls) == done  # the handle keeps its enclosure
+
+
+def test_a_read_after_a_finer_enclosure_keeps_the_bounds():
+    x = sqrt(2) + sqrt(3)
+    first = (x.lo, x.hi, x.saturated)
+    lo, hi, _ = enclosure(x, 96)
+    assert first[0] < lo and hi < first[1]
+    assert (x.lo, x.hi, x.saturated) == first
+    # a handle first read after its value was refined reads the finer bounds
+    y = sqrt(2) + sqrt(3)
+    lo, hi, _ = enclosure(y, 96)
+    assert (y.lo, y.hi) == (lo, hi) != first[:2]
+
+
+@pytest.mark.parametrize("bits", [64, 200, 1000])
+def test_refine_is_computed_at_its_own_bits(compute_calls, bits):
+    x = sqrt(2) * sqrt(3) + algebraic_root([-2, 0, 0, 1], (1, 2))
+    r = refine(x, bits)
+    assert compute_calls[0] == ("_Expr", bits)
+    done = len(compute_calls)
+    assert r.radius <= Fraction(1, 2 ** bits) * max(1, abs(r.midpoint))
+    assert (r.lo, r.hi) == enclosure(x, bits)[:2]
+    assert len(compute_calls) == done

@@ -301,6 +301,12 @@ def test_schmidt_fuzz_deterministic():
     assert len(a["samples"]) == 5
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_schmidt_fuzz_rejects_a_count_below_one(count):
+    with pytest.raises(DomainError, match="count >= 1"):
+        schmidt_fuzz(max_ambient=4, count=count, seed=3)
+
+
 def test_dimension_formula_random():
     # dim(A+B) + dim(A cap B) == dim A + dim B
     rng = random.Random(23)

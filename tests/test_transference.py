@@ -275,6 +275,12 @@ def test_check_sandwich_sqrt2(sqrt2_seq_1e5):
         assert row["envelope"] <= row["phi"] * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("grid_count", [1, 0, -3])
+def test_check_sandwich_rejects_a_short_grid(sqrt2_seq_30, grid_count):
+    with pytest.raises(DomainError, match="grid_count must be >= 2"):
+        check_sandwich(sqrt2_seq_30, sqrt2_profile(), grid_count=grid_count)
+
+
 def test_check_sandwich_violation(sqrt2_seq_1e5):
     # a = 1 pinches phi below the envelope near X ~ 3
     bad = TransferenceProfile.power(1, 1, Fraction(1, 4), 1, 1)
