@@ -1,10 +1,11 @@
 """Certified transcendental evaluation on top of mpmath interval arithmetic.
 
 The exact layer (rigorous.py) handles field operations and square roots; logs
-and general powers come from mpmath.iv.  These wrappers convert Fractions and
-RigorousReal enclosures into iv intervals without losing the certification:
-a rational enters as one outward-rounded division of its outward-rounded
-numerator and denominator, never through float, and its endpoints are cached.
+and general powers come from mpmath.iv, which no other module imports.  These
+wrappers convert Fractions and RigorousReal enclosures into iv intervals
+(`enclose`) without losing the certification: a rational enters as one
+outward-rounded division of its outward-rounded numerator and denominator,
+never through float, and its endpoints are cached.
 """
 
 from __future__ import annotations
@@ -49,6 +50,21 @@ def rig_interval(x, bits: int = 96):
     """iv enclosure of a RigorousReal, refined best-effort toward 2^-bits."""
     lo, hi, _ = rigorous.enclosure(x, bits)
     return frac_interval(lo, hi)
+
+
+def enclose(v):
+    """The iv enclosure of v: an iv value as it is, a RigorousReal through
+    rig_interval at its default 96 bits, anything else as one rational."""
+    if isinstance(v, iv.mpf):
+        return v
+    if isinstance(v, rigorous.RigorousReal):
+        return rig_interval(v)
+    return frac_enclosure(v)
+
+
+def hull(lo, hi):
+    """The iv interval from the lower end of lo to the upper end of hi."""
+    return iv.mpf([lo.a, hi.b])
 
 
 def iv_log(x):

@@ -16,7 +16,8 @@ For the power family (psi, phi, theta)(X) = (b X^-beta, a X^-alpha,
 have exact rational exponents eps_k = 1 - alpha - alpha^2/beta - ... -
 alpha^(k+1)/beta^k; the module evaluates both the iterated and the closed
 form with certified enclosures and measures the empirical constants that the
-transference statements leave ineffective.
+transference statements leave ineffective.  Values enter interval arithmetic
+through ivcalc.enclose alone, and the products come from one chain.
 
 The extremal-sequence verifier checks the four structural conditions a
 near-equality profile forces on a subsequence of minimal points: two growth
@@ -30,22 +31,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from functools import cached_property
+from typing import Optional, Sequence
 
-from mpmath import iv
-
-from . import minpoints, model, rigorous
+from . import minpoints, model
 from .construction import jump_indices
 from .errors import (DomainError, DomainTooShort, SandwichViolated,
                      TooFewPoints)
-from .ivcalc import (endpoints_fraction, frac_enclosure, frac_interval,
-                     iv_log, iv_pow, lower, midpoint_float, rig_interval,
-                     upper)
+from .ivcalc import (enclose, endpoints_fraction, frac_enclosure,
+                     frac_interval, hull, iv_log, iv_pow, lower,
+                     midpoint_float, rig_interval, upper)
 from .rigorous import RigorousReal
-
-INFINITE = math.inf
-
-RationalLike = Union[int, Fraction, str]
 
 
 def _frac(v, name: str) -> Fraction:
@@ -198,6 +194,8 @@ class TransferenceProfile:
             raise DomainError("profile needs alpha <= beta")
         if self.family not in ("power", "power-log"):
             raise DomainError(f"unknown profile family {self.family!r}")
+        if self.domain_start <= 0:
+            raise DomainError("profile domain_start must be positive")
         if self.family == "power-log":
             # phi, psi must be strictly decreasing from the domain start on:
             # X^-alpha log^sigma X falls iff log X > sigma/alpha
@@ -227,6 +225,14 @@ class TransferenceProfile:
                    sigma=_frac(sigma, "sigma"), rho=_frac(rho, "rho"),
                    domain_start=_frac(domain_start, "domain_start"))
 
+    @cached_property
+    def closed_form(self) -> Optional[dict]:
+        """epsilon_delta of the power family's parameters, computed once per
+        profile; None for power-log, which has no closed form."""
+        if self.family != "power":
+            return None
+        return epsilon_delta(self.a, self.b, self.alpha, self.beta, self.n)
+
     # -- pointwise evaluation, certified --------------------------------
 
     def _mono(self, x, coeff: Fraction, expo: Fraction, logexp: Fraction):
@@ -236,37 +242,33 @@ class TransferenceProfile:
         return out
 
     def phi(self, x):
-        x = x if isinstance(x, iv.mpf) else frac_enclosure(Fraction(x))
-        return self._mono(x, self.a, self.alpha, self.sigma)
+        return self._mono(enclose(x), self.a, self.alpha, self.sigma)
 
     def psi(self, x):
-        x = x if isinstance(x, iv.mpf) else frac_enclosure(Fraction(x))
-        return self._mono(x, self.b, self.beta, self.rho)
+        return self._mono(enclose(x), self.b, self.beta, self.rho)
 
     def theta(self, x):
         """The transfer map: the unique solution of psi(theta) = phi(X)."""
         if self.family == "power":
-            x = x if isinstance(x, iv.mpf) else frac_enclosure(Fraction(x))
             scale = iv_pow(frac_enclosure(self.a / self.b),
                            -1 / Fraction(self.beta))
-            return scale * iv_pow(x, self.alpha / self.beta)
-        if isinstance(x, iv.mpf):
-            # theta is increasing, so endpoint images bracket the image
-            xl, xh = endpoints_fraction(x)
-            return iv.mpf([self._theta_bisect(xl).a,
-                           self._theta_bisect(xh).b])
-        return self._theta_bisect(Fraction(x))
+            return scale * iv_pow(enclose(x), self.alpha / self.beta)
+        if isinstance(x, (int, Fraction)):
+            return self._theta_bisect(Fraction(x))
+        # theta is increasing, so endpoint images bracket the image
+        xl, xh = endpoints_fraction(enclose(x))
+        return hull(self._theta_bisect(xl), self._theta_bisect(xh))
 
     def _theta_bisect(self, x: Fraction):
         """Monotone bisection of psi(t) = phi(x); relative width 1e-12."""
         target = self.phi(x)
         lo = Fraction(self.domain_start)
-        while not self._psi_above(lo, target):
+        while not lower(self.psi(lo)) >= upper(target):
             lo /= 2
             if lo < Fraction(1, 10 ** 9):
                 raise DomainError("transfer map escapes below any bracket")
         hi = max(x, lo * 2)
-        while not self._psi_below(hi, target):
+        while not upper(self.psi(hi)) <= lower(target):
             hi *= 2
             if hi > 10 ** 60:
                 raise DomainError("transfer map escapes above any bracket")
@@ -281,11 +283,16 @@ class TransferenceProfile:
                 break  # enclosures overlap: mid is already indistinguishable
         return frac_interval(lo, hi)
 
-    def _psi_above(self, t: Fraction, target) -> bool:
-        return lower(self.psi(t)) >= upper(target)
 
-    def _psi_below(self, t: Fraction, target) -> bool:
-        return upper(self.psi(t)) <= lower(target)
+def _phi_chain(profile: TransferenceProfile, xi, k: int) -> list:
+    """phi_0 ... phi_k at the enclosure xi, each the previous one times phi
+    at the next iterate of theta."""
+    chain = [profile.phi(xi)]
+    t = xi
+    for _ in range(k):
+        t = profile.theta(t)
+        chain.append(chain[-1] * profile.phi(t))
+    return chain
 
 
 def phi_functions(profile: TransferenceProfile, k: int, x) -> dict:
@@ -300,16 +307,11 @@ def phi_functions(profile: TransferenceProfile, k: int, x) -> dict:
             f"X={x} below the profile domain start {profile.domain_start}"
         )
     xi = frac_enclosure(x)
-    phik = profile.phi(xi)
-    t = xi
-    for _ in range(k):
-        t = profile.theta(t)
-        phik = phik * profile.phi(t)
+    phik = _phi_chain(profile, xi, k)[k]
     big_phik = xi * phik
     out = {"phiK": phik, "PhiK": big_phik, "PhiKClosed": None}
-    if profile.family == "power":
-        ed = epsilon_delta(profile.a, profile.b, profile.alpha, profile.beta,
-                           profile.n)
+    ed = profile.closed_form
+    if ed is not None:
         closed = ed["cK"][k] * iv_pow(xi, ed["epsK"][k])
         out["PhiKClosed"] = closed
         if upper(big_phik) < lower(closed) or upper(closed) < lower(big_phik):
@@ -336,7 +338,7 @@ class ExponentEstimate:
     uniform_series: list[float]
 
 
-def _half_log_norm_sq(norm_sq) -> "iv.mpf":
+def _half_log_norm_sq(norm_sq):
     return iv_log(frac_enclosure(Fraction(norm_sq))) / 2
 
 
@@ -366,22 +368,18 @@ def estimate_exponents_from_pairs(pairs: Sequence[tuple], n: int,
     unis: list = []
     for i in window:
         norm_sq, l_val = pairs[i][0], pairs[i][1]
-        li = l_val if isinstance(l_val, iv.mpf) else (
-            rig_interval(l_val) if isinstance(l_val, RigorousReal)
-            else frac_enclosure(Fraction(l_val)))
-        neg_log_l = -iv_log(li)
+        neg_log_l = -iv_log(enclose(l_val))
         ords.append(neg_log_l / _half_log_norm_sq(norm_sq))
         if i + 1 < m:
             unis.append(neg_log_l / _half_log_norm_sq(pairs[i + 1][0]))
     if not unis:
         raise TooFewPoints("the tail window has no successor entries")
 
-    lam = ords[0]
-    for v in ords[1:]:
-        lam = iv.mpf([max(lam.a, v.a), max(lam.b, v.b)])
-    hat = unis[0]
-    for v in unis[1:]:
-        hat = iv.mpf([min(hat.a, v.a), min(hat.b, v.b)])
+    # the endpoint-wise max and min, each end picked by its exact value
+    def end(j):
+        return lambda v: endpoints_fraction(v)[j]
+    lam = hull(max(ords, key=end(0)), max(ords, key=end(1)))
+    hat = hull(min(unis, key=end(0)), min(unis, key=end(1)))
     return ExponentEstimate(
         n=n,
         lambda_est=midpoint_float(lam),
@@ -419,39 +417,50 @@ def _geometric_grid(a: Fraction, b: Fraction, count: int) -> list[Fraction]:
 
 
 def _check_steps(seq: minpoints.MinimalPointSequence,
-                 profile: TransferenceProfile) -> None:
-    """Certify psi <= envelope <= phi on all of [A, X_max], A the domain start.
+                 profile: TransferenceProfile) -> list[dict]:
+    """Certify psi <= envelope <= phi on all of [A, X_max], A the domain start,
+    and return the tail consequences on consecutive entries.
 
     The envelope is L_i on [X_i, X_{i+1}) and psi, phi decrease, so the
     sandwich holds exactly when psi(max(A, X_i)) <= L_i and
     L_i <= phi(min(X_{i+1}, X_max)) on every step meeting [A, X_max].
-    Raises SandwichViolated at the first certified failure.
+    Raises SandwichViolated at the first certified failure.  Each entry of
+    norm >= A with a successor then gets its consequences: error below phi
+    at the next norm (the step check just certified it) and norm above
+    theta of the next norm (reported, not asserted).
     """
     a0 = profile.domain_start
     ents = seq.entries
     if not ents or ents[0].norm_sq > a0 * a0:
         raise SandwichViolated(f"no approximant of norm <= {float(a0):.6g}: envelope "
                                "is infinite inside the profile domain", witness=a0)
+    consequences = []
     for i, e in enumerate(ents):
         nxt = ents[i + 1] if i + 1 < len(ents) else None
         if nxt is not None and nxt.norm_sq <= a0 * a0:
             continue  # the step ends before the domain starts
         li = rig_interval(e.l_value)
-        at = a0 if e.norm_sq < a0 * a0 else e.x_value
-        if upper(li) < lower(profile.psi(_abscissa(at))):
+        inside = e.norm_sq >= a0 * a0
+        at = e.x_value if inside else a0
+        x_cur = enclose(at)
+        if upper(li) < lower(profile.psi(x_cur)):
             raise SandwichViolated(
                 f"envelope L_{i} is certifiably below psi at X={float(at):.6g}",
                 witness=at)
         # every entry has norm <= X_max, so min(X_{i+1}, X_max) is X_{i+1}
         at = Fraction(seq.x_max) if nxt is None else nxt.x_value
-        if lower(li) > upper(profile.phi(_abscissa(at))):
+        x_next = enclose(at)
+        if lower(li) > upper(profile.phi(x_next)):
             raise SandwichViolated(
                 f"envelope L_{i} is certifiably above phi up to X={float(at):.6g}",
                 witness=at)
-
-
-def _abscissa(x):
-    return rig_interval(x) if isinstance(x, RigorousReal) else frac_enclosure(x)
+        if inside and nxt is not None:
+            consequences.append({
+                "i": e.index,
+                "errorBelowPhiNext": True,
+                "normAboveThetaNext": not upper(x_cur) < lower(profile.theta(x_next)),
+            })
+    return consequences
 
 
 def check_sandwich(seq: minpoints.MinimalPointSequence,
@@ -467,6 +476,7 @@ def check_sandwich(seq: minpoints.MinimalPointSequence,
     """
     if grid_count < 2:
         raise DomainError("grid_count must be >= 2")
+    _check_dimension(seq, profile)
     a0 = profile.domain_start
     if seq.x_max <= a0 * 2:
         raise DomainTooShort(
@@ -474,24 +484,21 @@ def check_sandwich(seq: minpoints.MinimalPointSequence,
             f"(domain starts at {a0})"
         )
     n = profile.n
-    _check_steps(seq, profile)
+    consequences = _check_steps(seq, profile)
     grid = _geometric_grid(a0, Fraction(seq.x_max), grid_count)
-    grid_report = []
-    for x in grid:
-        grid_report.append({
-            "X": float(x),
-            "psi": midpoint_float(profile.psi(x)),
-            "envelope": midpoint_float(rig_interval(minpoints.envelope(seq, x))),
-            "phi": midpoint_float(profile.phi(x)),
-        })
+    grid_report = [{
+        "X": float(x),
+        "psi": midpoint_float(profile.psi(x)),
+        "envelope": midpoint_float(rig_interval(minpoints.envelope(seq, x))),
+        "phi": midpoint_float(profile.phi(x)),
+    } for x in grid]
 
     # monotonicity of the Phi_k: analytic for the power family, grid scan
     # (flagged heuristic) otherwise
     mono = []
     phi_minima = {}
-    ed = None
-    if profile.family == "power":
-        ed = epsilon_delta(profile.a, profile.b, profile.alpha, profile.beta, n)
+    ed = profile.closed_form
+    if ed is not None:
         for k in range(n):
             e_k = ed["epsK"][k]
             direction = ("increasing" if e_k > 0 else
@@ -514,22 +521,6 @@ def check_sandwich(seq: minpoints.MinimalPointSequence,
                                        "not monotone on grid"),
                          "heuristic": True})
 
-    # tail consequences on consecutive entries with norms inside the domain
-    consequences = []
-    for e, nxt in zip(seq.entries, seq.entries[1:]):
-        if Fraction(e.norm_sq) < a0 * a0:
-            continue
-        x_next = rig_interval(nxt.x_value)
-        li = rig_interval(e.l_value)
-        phi_next = profile.phi(x_next)
-        theta_next = profile.theta(x_next)
-        x_cur = rig_interval(e.x_value)
-        consequences.append({
-            "i": e.index,
-            "errorBelowPhiNext": not lower(li) > upper(phi_next),
-            "normAboveThetaNext": not upper(x_cur) < lower(theta_next),
-        })
-
     report = {
         "profile": describe_profile(profile),
         "grid": grid_report,
@@ -547,6 +538,13 @@ def check_sandwich(seq: minpoints.MinimalPointSequence,
         report["epsNonnegative"] = ed["eps"] >= 0
         report["delta"] = ed["delta"]
     return report
+
+
+def _check_dimension(seq: minpoints.MinimalPointSequence,
+                     profile: TransferenceProfile) -> None:
+    if profile.n != seq.target.n:
+        raise DomainError(f"profile for n={profile.n} on a target with "
+                          f"n={seq.target.n}")
 
 
 def describe_profile(profile: TransferenceProfile) -> dict:
@@ -573,23 +571,18 @@ def lemma41_check(seq: minpoints.MinimalPointSequence, indices: Sequence[int],
     """Certified check of the product chain at full depth: the product of
     Phi_0 over the successors of the jump indices stays below the norm
     product times the top Phi at the last successor."""
+    _check_dimension(seq, profile)
     n = profile.n
     entries = seq.entries
     if len(indices) != n:
         raise DomainError(f"{len(indices)} indices for a profile with n={n}")
     idx = jump_indices(indices, len(entries))
-    lhs = None
-    for i in idx:
-        z = rig_interval(entries[i + 1].x_value)
-        term = z * profile.phi(z)
-        lhs = term if lhs is None else lhs * term
-    rhs = None
-    for i in idx[1:]:
-        y = rig_interval(entries[i].x_value)
-        rhs = y if rhs is None else rhs * y
-    z_last = Fraction(entries[idx[-1] + 1].norm_sq)
-    top = phi_functions_at_sq(profile, n - 1, z_last)
-    rhs = top if rhs is None else rhs * top
+    succ = [rig_interval(entries[i + 1].x_value) for i in idx]
+    lhs = math.prod(z * profile.phi(z) for z in succ)
+    # the top Phi at the last successor, from the square root of its norm_sq
+    xi = iv_pow(frac_enclosure(entries[idx[-1] + 1].norm_sq), Fraction(1, 2))
+    rhs = math.prod([rig_interval(entries[i].x_value) for i in idx[1:]]
+                    + [xi * _phi_chain(profile, xi, n - 1)[n - 1]])
     return {
         "indices": idx,
         "lhs": midpoint_float(lhs),
@@ -597,17 +590,6 @@ def lemma41_check(seq: minpoints.MinimalPointSequence, indices: Sequence[int],
         "certifiedPass": upper(lhs) <= lower(rhs),
         "certifiedFail": lower(lhs) > upper(rhs),
     }
-
-
-def phi_functions_at_sq(profile: TransferenceProfile, k: int, x_sq: Fraction):
-    """Phi_k evaluated at sqrt(x_sq) without leaving certified arithmetic."""
-    xi = iv_pow(frac_enclosure(x_sq), Fraction(1, 2))
-    phik = profile.phi(xi)
-    t = xi
-    for _ in range(k):
-        t = profile.theta(t)
-        phik = phik * profile.phi(t)
-    return xi * phik
 
 
 # ---------------------------------------------------------------------------
@@ -664,10 +646,8 @@ def growth_conditions(pairs: Sequence[tuple], alpha, beta, eps, big_c,
             row["decay"] = ("pass" if Fraction(l_rat) ** (2 * qb)
                             * y_sq ** pb == 1 else "fail")
         else:
-            li = (l_val if isinstance(l_val, iv.mpf)
-                  else rig_interval(l_val) if isinstance(l_val, RigorousReal)
-                  else frac_enclosure(Fraction(l_val)))
-            dev = abs(iv_log(li) + frac_enclosure(beta) * _half_log_norm_sq(y_sq))
+            dev = abs(iv_log(enclose(l_val))
+                      + frac_enclosure(beta) * _half_log_norm_sq(y_sq))
             bound = (frac_enclosure(big_c)
                      + frac_enclosure(slack2) * _half_log_norm_sq(y_sq))
             row["decay"] = _verdict(dev, bound)

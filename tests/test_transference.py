@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from simra import minpoints, model, presets, rigorous, spectra
+from simra import minpoints, model, presets, rigorous, spectra, transference
 from simra.errors import (
     DomainError,
     DomainTooShort,
@@ -14,7 +14,9 @@ from simra.errors import (
     SandwichViolated,
     TooFewPoints,
 )
-from simra.ivcalc import lower, midpoint_float, upper
+from simra.construction import jump_indices, select_indices
+from simra.ivcalc import (frac_enclosure, iv_pow, lower, midpoint_float,
+                          rig_interval, upper)
 from simra.transference import (
     TransferenceProfile,
     check_sandwich,
@@ -159,6 +161,14 @@ def test_profile_validation():
         TransferenceProfile.power(0, 1, 1, 1, 1)
     with pytest.raises(DomainError):
         TransferenceProfile.power(2, -1, 1, 1, 1)
+    # a domain start <= 0 is refused by both families, before the power-log
+    # floor could lift it to a valid one
+    for start in (-1, 0):
+        with pytest.raises(DomainError, match="domain_start must be positive"):
+            TransferenceProfile.power(1, 2, Fraction(1, 4), 1, 1, domain_start=start)
+        with pytest.raises(DomainError, match="domain_start must be positive"):
+            TransferenceProfile.power_log(2, 1, 1, Fraction(1, 2), 1, Fraction(1, 2),
+                                          Fraction(1, 4), domain_start=start)
 
 
 def test_phi_psi_theta_power():
@@ -307,6 +317,14 @@ def test_check_sandwich_catches_violation_between_grid_points(sqrt2_seq_1e5):
     assert exc.value.witness == 2
 
 
+def test_profile_dimension_must_match_the_target(sqrt2_seq_1e5, cubic_seq_1e4):
+    with pytest.raises(DomainError, match="profile for n=3 on a target with n=1"):
+        check_sandwich(sqrt2_seq_1e5, TransferenceProfile.power(3, 2, Fraction(1, 4), 1, 1))
+    p = TransferenceProfile.power(3, 3, Fraction(1, 8), Fraction(2, 5), Fraction(3, 5))
+    with pytest.raises(DomainError, match="profile for n=3 on a target with n=2"):
+        lemma41_check(cubic_seq_1e4, [0, 1, 2], p)
+
+
 def test_check_sandwich_domain_too_short(sqrt2_seq_30):
     p = TransferenceProfile.power(1, 2, Fraction(1, 4), 1, 1, domain_start=20)
     with pytest.raises(DomainTooShort):
@@ -347,6 +365,121 @@ def test_lemma41_chain_cubic(cubic_seq_1e4):
     assert out["lhs"] <= out["rhs"]
     with pytest.raises(DomainError):
         lemma41_check(cubic_seq_1e4, [0], p)
+
+
+def reference_phi_functions_at_sq(profile, k, x_sq):
+    """The square-root chain lemma41_check used before it shared _phi_chain:
+    Phi_k evaluated at sqrt(x_sq) without leaving certified arithmetic."""
+    xi = iv_pow(frac_enclosure(x_sq), Fraction(1, 2))
+    phik = profile.phi(xi)
+    t = xi
+    for _ in range(k):
+        t = profile.theta(t)
+        phik = phik * profile.phi(t)
+    return xi * phik
+
+
+def reference_lemma41_check(seq, indices, profile):
+    """lemma41_check's products as they were written before _phi_chain."""
+    entries = seq.entries
+    idx = jump_indices(indices, len(entries))
+    lhs = None
+    for i in idx:
+        z = rig_interval(entries[i + 1].x_value)
+        term = z * profile.phi(z)
+        lhs = term if lhs is None else lhs * term
+    rhs = None
+    for i in idx[1:]:
+        y = rig_interval(entries[i].x_value)
+        rhs = y if rhs is None else rhs * y
+    top = reference_phi_functions_at_sq(profile, profile.n - 1,
+                                        Fraction(entries[idx[-1] + 1].norm_sq))
+    rhs = top if rhs is None else rhs * top
+    return {"indices": idx, "lhs": midpoint_float(lhs), "rhs": midpoint_float(rhs),
+            "certifiedPass": upper(lhs) <= lower(rhs),
+            "certifiedFail": lower(lhs) > upper(rhs)}
+
+
+def random_power_profiles(rng, n, count):
+    """Loose power profiles: a large, b small, alpha below 1/2 < beta."""
+    return [TransferenceProfile.power(
+        n, Fraction(rng.randint(20, 400), 10), Fraction(1, rng.randint(20, 40)),
+        Fraction(rng.randint(1, 9), 20), Fraction(rng.randint(6, 12), 10),
+        domain_start=rng.choice((1, 2, Fraction(5, 2), 20)))
+        for _ in range(count)]
+
+
+def test_phi_chain_matches_the_reference_square_root_chain(cubic_seq_1e4):
+    rng = random.Random(15)
+    profiles = [cubic_profile(cubic_seq_1e4)]
+    for n in (2, 3, 4):
+        profiles += random_power_profiles(rng, n, 4)
+    for p in profiles:
+        for k in range(p.n):
+            for x_sq in (Fraction(5), Fraction(289, 4), 10 ** 6 + 1, 35058282):
+                xi = iv_pow(frac_enclosure(x_sq), Fraction(1, 2))
+                got = xi * transference._phi_chain(p, xi, k)[k]
+                assert got._mpi_ == reference_phi_functions_at_sq(p, k, x_sq)._mpi_
+    for p in profiles[:1] + [q for q in profiles if q.n == 2]:
+        for i0 in (0, 1):
+            idx = select_indices(cubic_seq_1e4, i0)
+            assert (lemma41_check(cubic_seq_1e4, idx, p)
+                    == reference_lemma41_check(cubic_seq_1e4, idx, p))
+
+
+def reference_consequences(seq, profile):
+    """The separate consequences loop check_sandwich ran after the step
+    check, before the step walk collected the consequences itself."""
+    a0 = profile.domain_start
+    consequences = []
+    for e, nxt in zip(seq.entries, seq.entries[1:]):
+        if Fraction(e.norm_sq) < a0 * a0:
+            continue
+        x_next = rig_interval(nxt.x_value)
+        li = rig_interval(e.l_value)
+        phi_next = profile.phi(x_next)
+        theta_next = profile.theta(x_next)
+        x_cur = rig_interval(e.x_value)
+        consequences.append({
+            "i": e.index,
+            "errorBelowPhiNext": not lower(li) > upper(phi_next),
+            "normAboveThetaNext": not upper(x_cur) < lower(theta_next),
+        })
+    return consequences
+
+
+def test_check_sandwich_consequences_match_the_reference_loop(cubic_seq_1e4):
+    profiles = ([cubic_profile(cubic_seq_1e4)]
+                + random_power_profiles(random.Random(16), 2, 10))
+    for p in profiles:
+        got = check_sandwich(cubic_seq_1e4, p, grid_count=8)["consequences"]
+        assert got == reference_consequences(cubic_seq_1e4, p)
+
+
+def test_check_sandwich_computes_the_closed_form_once(monkeypatch, cubic_seq_1e4):
+    calls = []
+    real = transference.epsilon_delta
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(transference, "epsilon_delta", counted)
+    check_sandwich(cubic_seq_1e4, cubic_profile(cubic_seq_1e4))
+    assert len(calls) == 1
+
+
+def test_check_sandwich_still_checks_the_closed_form(monkeypatch, cubic_seq_1e4):
+    real = transference.epsilon_delta
+
+    def corrupted(*args):
+        ed = real(*args)
+        ed["cK"] = [c * 2 for c in ed["cK"]]
+        return ed
+
+    monkeypatch.setattr(transference, "epsilon_delta", corrupted)
+    with pytest.raises(DomainError, match="certifiably disjoint .* implementation bug"):
+        check_sandwich(cubic_seq_1e4, cubic_profile(cubic_seq_1e4))
 
 
 def test_lemma41_validates_the_jump_indices(cubic_seq_1e4):
