@@ -1,25 +1,28 @@
 """Exact linear algebra over Q: saturated lattices and subspace heights.
 
-A rational subspace W of R^N is stored through the lattice W intersect Z^N,
-represented by its canonical Hermite-form basis, so equality of subspaces is
-equality of bases.  The squared height of W is the Gram determinant of that
-basis (equivalently the sum of the squared k x k minors), an exact integer;
-the zero subspace and the full space both have squared height 1.
+A rational subspace W of R^N is stored through a basis of the lattice
+W intersect Z^N and, when known, one of W-perp intersect Z^N, each as its
+maker had it; equality of subspaces is equality of the canonical
+Hermite-form bases, computed on first read.  The squared height of W is the
+Gram determinant of any basis of the lattice (equivalently the sum of the
+squared k x k minors), an exact integer; the zero subspace and the full
+space both have squared height 1.
 
-All kernels come from [A^T | I], whose integer row operations keep every row
-of the shape (A c, c).  One echelon pass over the left block leaves the rows
-whose left part vanishes, and their right parts are a basis of the kernel
-lattice, saturated by construction; the Hermite form of those rows alone is
-the canonical basis.  Saturation of an arbitrary spanning set is the double
-kernel, and the first kernel, the basis of W-perp, is kept on the subspace,
-so complements and intersections do not compute it again.
+Saturation is one echelon pass over [V^T | I] that also carries the inverse
+of its row transform U.  Integer row operations keep every row of the shape
+(V^T c, c), so the rows whose left part vanishes are a basis of
+W-perp intersect Z^N; the first rank columns of U^-1 span W, and U^-1 being
+unimodular, they are a basis of W intersect Z^N.  Sums, intersections and
+complements pass on the bases they already have, so no kernel is computed
+twice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
@@ -30,33 +33,53 @@ from .rigorous import RigorousReal
 IntVec = tuple[int, ...]
 
 
-def _echelon(rows: list[list[int]], ncols: int) -> list[int]:
+def _echelon(rows: list[list[int]], ncols: int,
+             inverse: Optional[list[list[int]]] = None) -> list[int]:
     """In-place row echelon form over the first ncols columns; returns the
     pivot columns, so rows[:len(pivots)] are the echelon rows and the rest
     vanish on those columns.
 
-    Each column is cleared by least-pivot reduction: every live row is
-    reduced modulo the live row whose entry is least in absolute value,
-    until one live row is left.
+    Each entry below a pivot is folded into the pivot row by one unimodular
+    2 x 2 step from the extended gcd of the two entries (a subtraction when
+    the pivot divides it).  `inverse`, when given, holds the columns of the
+    inverse of the row transform so far and is kept so: a row operation
+    r_i -= q r_p becomes col_p += q col_i, and a swap swaps the same two
+    columns.
     """
     pivots = []
     for c in range(ncols):
         r = len(pivots)
-        live = [i for i in range(r, len(rows)) if rows[i][c]]
-        while len(live) > 1:
-            p = min(live, key=lambda i: abs(rows[i][c]))
-            prow = rows[p]
-            rest = [p]
-            for i in live:
-                if i != p:
-                    q = rows[i][c] // prow[c]
-                    rows[i] = row = [a - q * b for a, b in zip(rows[i], prow)]
-                    if row[c]:
-                        rest.append(i)
-            live = rest
-        if live:
-            rows[r], rows[live[0]] = rows[live[0]], rows[r]
-            pivots.append(c)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        if inverse is not None:
+            inverse[r], inverse[p] = inverse[p], inverse[r]
+        for i in range(p + 1, len(rows)):
+            b = rows[i][c]
+            if not b:
+                continue
+            prow, row = rows[r], rows[i]
+            a = prow[c]
+            if b % a == 0:
+                q = b // a
+                rows[i] = [u - q * v for u, v in zip(row, prow)]
+                if inverse is not None:
+                    inverse[r] = [u + q * v for u, v in zip(inverse[r], inverse[i])]
+                continue
+            # (r, i) <- [[x, y], [-b, a]] (r, i) with x a + y b = 1 after
+            # dividing a, b by their gcd; its inverse is [[a, -y], [b, x]]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            x = pow(a, -1, abs(b))
+            y = (1 - x * a) // b
+            rows[r] = [x * u + y * v for u, v in zip(prow, row)]
+            rows[i] = [a * v - b * u for u, v in zip(prow, row)]
+            if inverse is not None:
+                cr, ci = inverse[r], inverse[i]
+                inverse[r] = [a * u + b * v for u, v in zip(cr, ci)]
+                inverse[i] = [x * v - y * u for u, v in zip(cr, ci)]
+        pivots.append(c)
     return pivots
 
 
@@ -76,21 +99,43 @@ def _row_hnf(rows: list[list[int]]) -> list[list[int]]:
     return rows
 
 
+def _hermite(rows: Sequence[Sequence[int]]) -> tuple[IntVec, ...]:
+    return tuple(tuple(r) for r in _row_hnf([list(r) for r in rows]))
+
+
+def _integer_rows(vectors: Sequence[Sequence[int]], ambient: Optional[int],
+                  what: str) -> tuple[list[IntVec], int]:
+    """The vectors as tuples and their ambient dimension, checked: integer
+    entries, one length, an explicit dimension for an empty list."""
+    vecs = [tuple(vec) for vec in vectors]
+    if not all(isinstance(v, int) for vec in vecs for v in vec):
+        raise DomainError(f"{what} entries must be integers")
+    if ambient is None:
+        if not vecs:
+            raise DomainError(f"ambient dimension needed for an empty set of {what}s")
+        ambient = len(vecs[0])
+    if any(len(v) != ambient for v in vecs):
+        raise AmbientMismatch(f"{what}s must have length {ambient}")
+    return vecs, ambient
+
+
+def _lattices(vecs: Sequence[Sequence[int]], ambient: int
+              ) -> tuple[list[list[int]], list[list[int]]]:
+    """Bases of W intersect Z^N and W-perp intersect Z^N for the span W of
+    vecs, from one echelon pass over [V^T | I] carrying U^-1."""
+    m = len(vecs)
+    eye = [[1 if t == j else 0 for t in range(ambient)] for j in range(ambient)]
+    rows = [[v[j] for v in vecs] + e for j, e in enumerate(eye)]
+    inverse = [list(e) for e in eye]
+    rank = len(_echelon(rows, m, inverse))
+    return inverse[:rank], [r[m:] for r in rows[rank:]]
+
+
 def integer_kernel(rows: Sequence[Sequence[int]], ambient: Optional[int] = None
                    ) -> list[IntVec]:
     """Canonical basis of {x in Z^N : x . r = 0 for every given row r}."""
-    if ambient is None:
-        if not rows:
-            raise DomainError("ambient dimension needed for an empty constraint set")
-        ambient = len(rows[0])
-    if any(len(row) != ambient for row in rows):
-        raise AmbientMismatch(f"constraint rows must have length {ambient}")
-    m = len(rows)
-    big = [[rows[i][j] for i in range(m)]
-           + [1 if t == j else 0 for t in range(ambient)]
-           for j in range(ambient)]
-    rank = len(_echelon(big, m))
-    return [tuple(r) for r in _row_hnf([r[m:] for r in big[rank:]])]
+    vecs, ambient = _integer_rows(rows, ambient, "constraint row")
+    return list(_hermite(_lattices(vecs, ambient)[1]))
 
 
 def _int_det(m: Sequence[Sequence[int]]) -> int:
@@ -135,28 +180,46 @@ def minor_square_sum(basis: Sequence[Sequence[int]]) -> int:
     return total
 
 
-@dataclass(frozen=True)
 class RationalSubspace:
-    """A rational subspace as the canonical basis of its saturated lattice;
-    the basis of W-perp intersect Z^N is kept when known, computed on first
-    use otherwise, and takes no part in equality."""
+    """A rational subspace W through saturated bases of W intersect Z^N and
+    of W-perp intersect Z^N, each kept as its maker had it (the second is
+    computed here when not given).  Their Hermite forms are computed on
+    first read of basis, perp, ==, hash or describe(), and equality is
+    equality of the Hermite bases; dim, squared_height and member need
+    neither, the Gram determinant being the same for every basis of the
+    lattice."""
 
-    ambient: int
-    basis: tuple[IntVec, ...]
-    squared_height: int
-    _perp: Optional[tuple[IntVec, ...]] = field(default=None, compare=False)
+    def __init__(self, ambient: int, basis: Sequence[Sequence[int]],
+                 squared_height: int,
+                 perp: Optional[Sequence[Sequence[int]]] = None):
+        self.ambient = ambient
+        self.squared_height = squared_height
+        self._basis = basis
+        self._perp = _lattices(basis, ambient)[1] if perp is None else perp
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._basis)
 
-    @property
+    @cached_property
+    def basis(self) -> tuple[IntVec, ...]:
+        """The Hermite basis of W intersect Z^N."""
+        return _hermite(self._basis)
+
+    @cached_property
     def perp(self) -> tuple[IntVec, ...]:
-        """The canonical basis of W-perp intersect Z^N."""
-        if self._perp is None:
-            object.__setattr__(self, "_perp",
-                               tuple(integer_kernel(self.basis, self.ambient)))
-        return self._perp
+        """The Hermite basis of W-perp intersect Z^N."""
+        return _hermite(self._perp)
+
+    def __eq__(self, other):
+        if not isinstance(other, RationalSubspace):
+            return NotImplemented
+        return (self.ambient == other.ambient
+                and self.squared_height == other.squared_height
+                and self.basis == other.basis)
+
+    def __hash__(self):
+        return hash((self.ambient, self.basis, self.squared_height))
 
     def member(self, vector: Sequence[int]) -> bool:
         """v is in W exactly when v is orthogonal to every row of W-perp."""
@@ -165,7 +228,7 @@ class RationalSubspace:
                 f"vector has dimension {len(vector)}, ambient is {self.ambient}"
             )
         return not any(sum(Fraction(v) * p for v, p in zip(vector, row))
-                       for row in self.perp)
+                       for row in self._perp)
 
     def describe(self) -> dict:
         return {
@@ -180,9 +243,9 @@ class RationalSubspace:
                 f"H^2={self.squared_height})")
 
 
-def _from_saturated(basis: Sequence[IntVec], ambient: int,
-                    perp: Optional[tuple[IntVec, ...]] = None) -> RationalSubspace:
-    return RationalSubspace(ambient, tuple(basis), gram_det(basis), perp)
+def _from_saturated(basis: Sequence[Sequence[int]], ambient: int,
+                    perp: Sequence[Sequence[int]]) -> RationalSubspace:
+    return RationalSubspace(ambient, basis, gram_det(basis), perp)
 
 
 def saturate(vectors: Sequence[Sequence[int]], ambient: Optional[int] = None
@@ -192,17 +255,9 @@ def saturate(vectors: Sequence[Sequence[int]], ambient: Optional[int] = None
     Dependent, duplicate, and zero inputs are all allowed; an empty list (with
     an explicit ambient dimension) gives the zero subspace.
     """
-    vecs = [tuple(vec) for vec in vectors]
-    if not all(isinstance(v, int) for vec in vecs for v in vec):
-        raise DomainError("spanning vector entries must be integers")
-    if ambient is None:
-        if not vecs:
-            raise DomainError("ambient dimension needed for an empty spanning set")
-        ambient = len(vecs[0])
-    if any(len(v) != ambient for v in vecs):
-        raise AmbientMismatch("spanning vectors differ in length")
-    perp = tuple(integer_kernel(vecs, ambient))
-    return _from_saturated(integer_kernel(perp, ambient), ambient, perp)
+    vecs, ambient = _integer_rows(vectors, ambient, "spanning vector")
+    basis, perp = _lattices(vecs, ambient)
+    return _from_saturated(basis, ambient, perp)
 
 
 def zero_subspace(ambient: int) -> RationalSubspace:
@@ -229,18 +284,20 @@ def _check_ambient(a: RationalSubspace, b: RationalSubspace) -> None:
 
 def sum_(a: RationalSubspace, b: RationalSubspace) -> RationalSubspace:
     _check_ambient(a, b)
-    return saturate(list(a.basis) + list(b.basis), a.ambient)
+    return saturate([*a._basis, *b._basis], a.ambient)
 
 
 def intersect(a: RationalSubspace, b: RationalSubspace) -> RationalSubspace:
-    """A cap B as the common kernel of both orthogonal complements."""
+    """A cap B as the common kernel of both orthogonal complements, whose
+    saturated span, from the same pass, is kept as its complement."""
     _check_ambient(a, b)
-    return _from_saturated(integer_kernel(a.perp + b.perp, a.ambient), a.ambient)
+    perp, basis = _lattices([*a._perp, *b._perp], a.ambient)
+    return _from_saturated(basis, a.ambient, perp)
 
 
 def orthogonal_complement(w: RationalSubspace) -> RationalSubspace:
     """W-perp, whose own complement is W: (W-perp)-perp = W."""
-    return _from_saturated(w.perp, w.ambient, w.basis)
+    return _from_saturated(w._perp, w.ambient, w._basis)
 
 
 def schmidt_ratio(a: RationalSubspace, b: RationalSubspace) -> dict:
@@ -266,11 +323,14 @@ def schmidt_fuzz(max_ambient: int = 5, count: int = 1000, seed: int = 1,
     Draws count pairs of random saturated subspaces (ambient dimension 2 to
     max_ambient, small integer spanning vectors), records the largest exact
     ratioSq = H(A+B)^2 H(A cap B)^2 / (H(A)^2 H(B)^2) seen, and checks
-    H(W)^2 = H(W perp)^2 exactly for every generated subspace.  Deterministic
-    in the seed.
+    H(W)^2 = H(W perp)^2 exactly for the two random subspaces A and B of each
+    pair (not for their sum or intersection).  Deterministic in the seed.
     """
     import random
 
+    for name, value in (("max_ambient", max_ambient), ("count", count)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise DomainError(f"fuzz needs an integer {name}, got {value!r}")
     if max_ambient < 2:
         raise DomainError("fuzz needs ambient dimension >= 2")
     if count < 1:

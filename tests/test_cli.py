@@ -227,15 +227,29 @@ def test_schmidt_fuzz_rejects_a_count_below_one(tmp_path, capsys, count):
     assert not path.exists()
 
 
+def _schmidt_fuzz_sha256(tmp_path, capsys, seed: int) -> str:
+    path = tmp_path / "schmidt.json"
+    code, _ = run_cli(capsys, "schmidt-fuzz", "--dim", "5", "--count", "1000",
+                      "--seed", str(seed), "--out", str(path))
+    assert code == 0
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_schmidt_fuzz_golden_bytes(tmp_path, capsys):
     golden = os.path.join(os.path.dirname(__file__), "..", "bench", "golden.json")
     with open(golden, encoding="utf-8") as f:
         want = json.load(f)["artifacts"]["spectrum.schmidt-fuzz/schmidt.json"]["sha256"]
-    path = tmp_path / "schmidt.json"
-    code, _ = run_cli(capsys, "schmidt-fuzz", "--dim", "5", "--count", "1000",
-                      "--seed", "1", "--out", str(path))
-    assert code == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == want
+    assert _schmidt_fuzz_sha256(tmp_path, capsys, 1) == want
+
+
+# the fuzz report at other seeds, which bench/golden.json does not pin
+@pytest.mark.parametrize("seed, want", [
+    (2, "4aa7cc1b2e72a593cb81203fc7a73e421fcc9fad09b171ea6317c8ea1e22f28f"),
+    (3, "c343f82992fad26212d25576d06dd53f28aff65257c3f4133abc4fb9c32bad3c"),
+    (7, "16ca01663e1a553aefc350ef9ced7543783c9c85440848e4f9c8de88a4680039"),
+])
+def test_schmidt_fuzz_golden_bytes_at_other_seeds(tmp_path, capsys, seed, want):
+    assert _schmidt_fuzz_sha256(tmp_path, capsys, seed) == want
 
 
 # the analyze workload of the benchmark: one enumeration, then each analysis

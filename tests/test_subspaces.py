@@ -8,6 +8,7 @@ import pytest
 from simra.errors import AmbientMismatch, DomainError
 from simra.subspaces import (
     RationalSubspace,
+    _echelon,
     _row_hnf,
     full_space,
     gram_det,
@@ -127,6 +128,26 @@ def test_basis_independence_under_unimodular_moves():
             rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
         again = saturate(rows, 4)
         assert again == w and again.squared_height == w.squared_height
+    # a subspace kept on a moved saturated basis reads as the Hermite one
+    for ambient, vecs in ((4, base), (5, [(3, 1, 4, 1, 5), (9, 2, 6, 5, 3)]),
+                          (3, [(2, 7, 1)])):
+        w = saturate(vecs, ambient)
+        for _ in range(30):
+            rows = [list(v) for v in w.basis]
+            for _ in range(6):
+                if len(rows) > 1:
+                    i, j = rng.sample(range(len(rows)), 2)
+                    c = rng.randint(-3, 3)
+                    rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+                if rng.random() < 0.3:
+                    k = rng.randrange(len(rows))
+                    rows[k] = [-a for a in rows[k]]
+            rng.shuffle(rows)
+            moved = RationalSubspace(ambient, rows, gram_det(rows))
+            assert moved.squared_height == w.squared_height
+            assert moved == w and hash(moved) == hash(w)
+            assert moved.describe() == w.describe()
+            assert moved.basis == w.basis and moved.perp == w.perp
 
 
 def test_duality_random():
@@ -161,8 +182,9 @@ def test_integer_kernel_rejects_rows_of_another_length():
 
 @pytest.mark.parametrize("entry", [1.5, Fraction(3, 2), 2.0, Fraction(2)])
 def test_saturate_rejects_non_integer_entries(entry):
-    with pytest.raises(DomainError):
-        saturate([(entry, 2)])
+    for make in (saturate, integer_kernel):
+        with pytest.raises(DomainError, match="entries must be integers"):
+            make([(entry, 2)])
 
 
 def _pairwise_euclid_hnf(rows):
@@ -252,6 +274,57 @@ def test_integer_kernel_against_its_definition():
         assert saturate(kernel, ambient).basis == tuple(kernel)
 
 
+def test_saturate_matches_the_double_kernel():
+    """The one-pass saturation against the former double kernel."""
+    rng = random.Random(37)
+    for _ in range(600):
+        rows = _random_matrix(rng)
+        n = len(rows[0])
+        w = saturate(rows, n)
+        assert w.basis == tuple(integer_kernel(integer_kernel(rows, n), n))
+        assert w.perp == tuple(integer_kernel(rows, n))
+        assert w.squared_height == gram_det(w.basis)
+
+
+def test_echelon_carries_the_inverse_of_its_row_transform():
+    rng = random.Random(53)
+    for _ in range(600):
+        a = _random_matrix(rng)
+        m, ncols = len(a), len(a[0])
+        eye = [[int(t == j) for t in range(m)] for j in range(m)]
+        rows = [r + e for r, e in zip(a, eye)]
+        inverse = [list(e) for e in eye]
+        rank = len(_echelon(rows, ncols, inverse))
+        assert rank == _rank_q(a)
+        u = [r[ncols:] for r in rows]
+        # inverse[j] is column j of U^-1
+        assert all(sum(x * y for x, y in zip(u[i], inverse[j])) == (i == j)
+                   for i in range(m) for j in range(m))
+        assert all(r[:ncols] == [sum(u[i][k] * a[k][c] for k in range(m))
+                                 for c in range(ncols)]
+                   for i, r in enumerate(rows))
+        assert not any(v for r in rows[rank:] for v in r[:ncols])
+
+
+def test_hermite_forms_wait_for_a_read(monkeypatch):
+    """Saturation, sums, intersections, complements, dim and heights never
+    compute a Hermite form; reading the basis computes it once."""
+    import simra.subspaces as sub
+
+    calls = []
+    real = sub._row_hnf
+    monkeypatch.setattr(sub, "_row_hnf", lambda rows: calls.append(1) or real(rows))
+    a = saturate([(1, 2, 3, 4), (0, 5, 6, 7)], 4)
+    b = saturate([(7, 0, 1, 2)], 4)
+    c = orthogonal_complement(a)
+    s, i = sum_(a, c), intersect(a, orthogonal_complement(b))
+    assert (s.dim, i.dim, c.squared_height) == (4, 1, a.squared_height)
+    assert a.member((1, 7, 9, 11)) and not c.member((1, 2, 3, 4))
+    assert schmidt_ratio(a, b)["sumDim"] == 3
+    assert calls == []
+    assert a.basis == a.basis and len(calls) == 1
+
+
 def _fresh(w):
     """The same subspace without its kept complement."""
     return RationalSubspace(w.ambient, w.basis, w.squared_height)
@@ -305,6 +378,15 @@ def test_schmidt_fuzz_deterministic():
 def test_schmidt_fuzz_rejects_a_count_below_one(count):
     with pytest.raises(DomainError, match="count >= 1"):
         schmidt_fuzz(max_ambient=4, count=count, seed=3)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("max_ambient", 2.5), ("max_ambient", True),
+    ("count", 3.0), ("count", True), ("count", "10"),
+])
+def test_schmidt_fuzz_rejects_non_integer_sizes(name, value):
+    with pytest.raises(DomainError, match=f"fuzz needs an integer {name}"):
+        schmidt_fuzz(**{"max_ambient": 4, "count": 5, "seed": 3, name: value})
 
 
 def test_dimension_formula_random():
