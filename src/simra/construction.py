@@ -20,7 +20,7 @@ echelon pass of subspaces, subspace equality from canonical saturated bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -112,10 +112,15 @@ class SubspaceFamily:
     u: dict  # (t, k) -> U_t^k
     v: dict  # (t, k) -> V_t^{k+1}
     points: tuple[tuple[int, ...], ...]
+    _spans: dict = field(default_factory=dict, repr=False, compare=False)
 
     def span(self, a: int, b: int) -> RationalSubspace:
-        """The saturated span of x_a, ..., x_b (inclusive)."""
-        return subspaces.saturate(self.points[a:b + 1], self.n + 1)
+        """The saturated span of x_a, ..., x_b (inclusive), saturated once
+        per family: the U/V tables and the identity checks share it."""
+        w = self._spans.get((a, b))
+        if w is None:
+            w = self._spans[(a, b)] = subspaces.saturate(self.points[a:b + 1], self.n + 1)
+        return w
 
 
 def build_subspace_family(seq, indices: Sequence[int]) -> SubspaceFamily:
@@ -149,14 +154,12 @@ def build_subspace_family(seq, indices: Sequence[int]) -> SubspaceFamily:
                 )
             s_tab[(t, k)] = largest_s_of_dim[k + 1]
 
-    u: dict = {}
-    v: dict = {}
+    fam = SubspaceFamily(n=n, i0=i0, indices=tuple(indices),
+                         s=s_tab, u={}, v={}, points=tuple(pts))
     for (t, k), s in s_tab.items():
-        it = indices[t]
-        u[(t, k)] = subspaces.saturate(pts[s:it + 1], ambient)
-        v[(t, k)] = subspaces.saturate(pts[s:it + 2], ambient)
-    return SubspaceFamily(n=n, i0=i0, indices=tuple(indices),
-                          s=s_tab, u=u, v=v, points=tuple(pts))
+        fam.u[(t, k)] = fam.span(s, indices[t])
+        fam.v[(t, k)] = fam.span(s, indices[t] + 1)
+    return fam
 
 
 def verify_family_identities(fam: SubspaceFamily) -> dict:

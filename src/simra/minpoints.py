@@ -351,33 +351,49 @@ def _scan_entries(comparator: _Comparator, approx_set: ApproxSet,
     has |x_k - (xi_k/xi_0) x_0| certifiably above the record's error, so it
     is strictly worse than the record; records only improve, so a point left
     out stays out.  Candidates at x_0 have norm >= x_0^2, so when the scan
-    reaches x_0 every heap group below x_0^2 is complete and is swept first,
-    and the windows come from the freshest record.  The set lists its own
-    members in the windows; the heap holds only canonical ones, and the
-    processing order (hence the result) matches a single sweep of all
-    members sorted by (norm, coordinates).
+    reaches x_0 every heap group below x_0^2 is complete; the sweep runs
+    only when the heap holds such a group, and the windows come from the
+    freshest record.
+
+    Most x_0 have an empty axis-1 window, so its numerators are kept as
+    running integers: neg_lo = rec_hi - r_lo x_0 and hi = r_hi x_0 + rec_hi
+    step by -r_lo and +r_hi per x_0 and are recomputed only when a sweep
+    changes the record.  The window is nonempty exactly when
+    (hi >> 64) + (neg_lo >> 64) >= 0, and only then are the other axes
+    sized and the set asked for its members in the windows.  The heap
+    holds only canonical members, and the processing order (hence the
+    result) matches a single sweep of all members sorted by (norm,
+    coordinates).
     """
     rsnap = comparator.target.ratio_snapshot(_BASE_BITS)
+    (r_lo, r_hi), rest = rsnap[0], rsnap[1:]
     zero = (0,) * (len(rsnap) + 1)
     heap: list = []
-    record = None
+    record = entries[-1]
+    rec_hi = _record_bound(rsnap, record.point.coords)
+    neg_lo = hi = rec_hi
     for x0 in range(isqrt(norm_sq_max) + 1):
-        _sweep_below(heap, x0 * x0, entries, comparator)
-        if entries[-1] is not record:
-            record = entries[-1]
-            rec_hi = _record_bound(rsnap, record.point.coords)
-        windows = []
-        for rlo, rhi in rsnap:
-            lo = -((rec_hi - rlo * x0) >> _BASE_BITS)
-            hi = (rhi * x0 + rec_hi) >> _BASE_BITS
-            if lo > hi:
-                break
-            windows.append((lo, hi))
-        else:
-            for c in approx_set.box_members(x0, windows):
-                # c > zero: canonical, which only x_0 = 0 can fail
-                if c > zero and bound_sq < (ns := sum(v * v for v in c)) <= norm_sq_max:
-                    heapq.heappush(heap, (ns, c))
+        if heap and heap[0][0] < x0 * x0:
+            _sweep_below(heap, x0 * x0, entries, comparator)
+            if entries[-1] is not record:
+                record = entries[-1]
+                rec_hi = _record_bound(rsnap, record.point.coords)
+                neg_lo, hi = rec_hi - r_lo * x0, r_hi * x0 + rec_hi
+        if (hi >> _BASE_BITS) + (neg_lo >> _BASE_BITS) >= 0:
+            windows = [(-(neg_lo >> _BASE_BITS), hi >> _BASE_BITS)]
+            for rlo, rhi in rest:
+                lo_k = -((rec_hi - rlo * x0) >> _BASE_BITS)
+                hi_k = (rhi * x0 + rec_hi) >> _BASE_BITS
+                if lo_k > hi_k:
+                    break
+                windows.append((lo_k, hi_k))
+            else:
+                for c in approx_set.box_members(x0, windows):
+                    # c > zero: canonical, which only x_0 = 0 can fail
+                    if c > zero and bound_sq < (ns := sum(v * v for v in c)) <= norm_sq_max:
+                        heapq.heappush(heap, (ns, c))
+        neg_lo -= r_lo
+        hi += r_hi
     _sweep_below(heap, math.inf, entries, comparator)
 
 

@@ -328,7 +328,7 @@ def schmidt_fuzz(max_ambient: int = 5, count: int = 1000, seed: int = 1,
     """
     import random
 
-    for name, value in (("max_ambient", max_ambient), ("count", count)):
+    for name, value in (("max_ambient", max_ambient), ("count", count), ("seed", seed)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise DomainError(f"fuzz needs an integer {name}, got {value!r}")
     if max_ambient < 2:

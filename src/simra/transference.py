@@ -301,24 +301,30 @@ def phi_functions(profile: TransferenceProfile, k: int, x) -> dict:
     """
     if not 0 <= k <= profile.n - 1:
         raise DomainError(f"k={k} outside 0..{profile.n - 1}")
+    return _phi_products(profile, x, k)[k]
+
+
+def _phi_products(profile: TransferenceProfile, x, k: int) -> list[dict]:
+    """phi_functions(profile, j, x) for j = 0 ... k, from one _phi_chain."""
     x = Fraction(x)
     if x < profile.domain_start:
         raise DomainError(
             f"X={x} below the profile domain start {profile.domain_start}"
         )
     xi = frac_enclosure(x)
-    phik = _phi_chain(profile, xi, k)[k]
-    big_phik = xi * phik
-    out = {"phiK": phik, "PhiK": big_phik, "PhiKClosed": None}
     ed = profile.closed_form
-    if ed is not None:
-        closed = ed["cK"][k] * iv_pow(xi, ed["epsK"][k])
-        out["PhiKClosed"] = closed
-        if upper(big_phik) < lower(closed) or upper(closed) < lower(big_phik):
-            raise DomainError(
-                "iterated and closed-form evaluations are certifiably "
-                f"disjoint at X={x}, k={k}: implementation bug"
-            )
+    out = []
+    for j, phij in enumerate(_phi_chain(profile, xi, k)):
+        big_phij = xi * phij
+        closed = None
+        if ed is not None:
+            closed = ed["cK"][j] * iv_pow(xi, ed["epsK"][j])
+            if upper(big_phij) < lower(closed) or upper(closed) < lower(big_phij):
+                raise DomainError(
+                    "iterated and closed-form evaluations are certifiably "
+                    f"disjoint at X={x}, k={j}: implementation bug"
+                )
+        out.append({"phiK": phij, "PhiK": big_phij, "PhiKClosed": closed})
     return out
 
 
@@ -507,9 +513,9 @@ def check_sandwich(seq: minpoints.MinimalPointSequence,
                          "requiredIncreasingPasses": e_k >= 0 if k <= n - 2
                          else None})
     sample = grid[:: max(1, len(grid) // 16)]
+    products = [_phi_products(profile, x, n - 1) for x in sample]
     for k in range(n):
-        vals = [midpoint_float(phi_functions(profile, k, x)["PhiK"])
-                for x in sample]
+        vals = [midpoint_float(p[k]["PhiK"]) for p in products]
         phi_minima[k] = {"min": min(vals),
                          "atX": float(sample[vals.index(min(vals))])}
         if profile.family != "power":

@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from simra import subspaces
 from simra.construction import (
     build_subspace_family,
     family_report,
@@ -134,6 +135,22 @@ def test_cubic_indices_and_identities(cubic_seq_1e4):
     i1 = idx[1]
     assert saturate(pts[: i1 + 1], 3).dim == 2
     assert saturate(pts[: i1 + 2], 3).dim == 3
+
+
+@pytest.mark.parametrize("i0, distinct", [(0, 9), (1, 6)])
+def test_family_saturates_each_span_once(cubic_seq_1e4, monkeypatch, i0, distinct):
+    # the U/V tables and the chain, nesting and full-space checks ask for
+    # overlapping spans; each spanning set is saturated once per family
+    calls = []
+
+    def counted(vecs, ambient):
+        calls.append(tuple(map(tuple, vecs)))
+        return saturate(vecs, ambient)
+
+    monkeypatch.setattr(subspaces, "saturate", counted)
+    fam = build_subspace_family(cubic_seq_1e4, select_indices(cubic_seq_1e4, i0))
+    assert family_report(fam, cubic_seq_1e4)["identities"]["allPass"]
+    assert len(calls) == len(set(calls)) == distinct
 
 
 def test_theorem31_ratio_formula(cubic_seq_1e4):

@@ -543,3 +543,67 @@ def test_entries_are_built_without_enclosing(cubic, compute_calls):
     assert len(back) == len(seq) and compute_calls == []
     assert l_val.lo > 0 and back.entries[-1].x_value.hi > 0
     assert compute_calls
+
+
+# 1, -sqrt(2), cbrt(2), -cbrt(4): Q-linearly independent, two negative ratios
+NEGATIVE_RATIO_COORDS = [rational(1), -sqrt(2),
+                         rigorous.algebraic_root([-2, 0, 0, 1], (1, 2)),
+                         -rigorous.algebraic_root([-4, 0, 0, 1], (1, 2))]
+SUBLATTICE_BASES = {
+    1: [(2, 1), (0, 3)],
+    2: [(2, 1, 1), (0, 1, 0), (0, 0, 1)],
+    3: [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 0, 2)],
+}
+SCAN_SETS = {
+    "full": lambda n: model.FullLattice(),
+    "congruence": lambda n: model.CongruenceSet(3, {0: [0, 1], 1: [2]}),
+    "sublattice": lambda n: model.Sublattice(SUBLATTICE_BASES[n]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCAN_SETS))
+@pytest.mark.parametrize("n, x_max", [(1, 150), (2, 25), (3, 9)])
+def test_scan_with_negative_ratios_matches_the_ball_scan(n, x_max, kind):
+    # xi_k/xi_0 < 0 makes the running window numerators step down: r_lo < 0
+    target = model.TargetPoint(NEGATIVE_RATIO_COORDS[:n + 1])
+    approx = SCAN_SETS[kind](n)
+    brute = brute_force_reference(target, approx, x_max)
+    assert len(brute) >= 3
+    assert enumerate_minimal_points(target, approx, x_max).points() == brute.points()
+
+
+def test_scan_matches_the_ball_scan_while_records_change_often():
+    target, approx = presets.load_preset("liouville-sqrt2")
+    brute = brute_force_reference(target, approx, 30)
+    assert enumerate_minimal_points(target, approx, 30).points() == brute.points()
+
+
+def test_sqrt2_to_1e6_follows_the_pell_recurrence(sqrt2):
+    # the records of (1, sqrt 2) are (q, p) -> (q + p, 2q + p) from (0, 1)
+    target, approx = sqrt2
+    seq = enumerate_minimal_points(target, approx, 10 ** 6)
+    want = [(0, 1)]
+    while True:
+        q, p = want[-1]
+        q, p = q + p, 2 * q + p
+        if q * q + p * p > 10 ** 12:
+            break
+        want.append((q, p))
+    assert seq.points() == want and len(want) == 17
+
+
+def test_scan_sweeps_per_record_not_per_x0(sqrt2, monkeypatch):
+    # the heap sweep runs only when it holds a group below x_0^2, so its
+    # calls grow with the points found, not with the x_0 <= 10^5 scanned
+    target, approx = sqrt2
+    calls = 0
+    sweep_below = minpoints._sweep_below
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return sweep_below(*args)
+
+    monkeypatch.setattr(minpoints, "_sweep_below", counted)
+    seq = enumerate_minimal_points(target, approx, 10 ** 5)
+    assert len(seq) == 14 and calls <= 3 * len(seq)

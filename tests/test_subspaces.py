@@ -383,6 +383,7 @@ def test_schmidt_fuzz_rejects_a_count_below_one(count):
 @pytest.mark.parametrize("name, value", [
     ("max_ambient", 2.5), ("max_ambient", True),
     ("count", 3.0), ("count", True), ("count", "10"),
+    ("seed", True), ("seed", 1.5), ("seed", "1"),
 ])
 def test_schmidt_fuzz_rejects_non_integer_sizes(name, value):
     with pytest.raises(DomainError, match=f"fuzz needs an integer {name}"):

@@ -482,6 +482,35 @@ def test_check_sandwich_still_checks_the_closed_form(monkeypatch, cubic_seq_1e4)
         check_sandwich(cubic_seq_1e4, cubic_profile(cubic_seq_1e4))
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_check_sandwich_checks_the_closed_form_at_every_k(monkeypatch, cubic_seq_1e4, k):
+    real = transference.epsilon_delta
+
+    def corrupted(*args):
+        ed = real(*args)
+        ed["cK"] = [c * 2 if j == k else c for j, c in enumerate(ed["cK"])]
+        return ed
+
+    monkeypatch.setattr(transference, "epsilon_delta", corrupted)
+    with pytest.raises(DomainError, match=f"disjoint at X=.*, k={k}: implementation bug"):
+        check_sandwich(cubic_seq_1e4, cubic_profile(cubic_seq_1e4))
+
+
+def test_check_sandwich_builds_one_phi_chain_per_sample_point(monkeypatch, cubic_seq_1e4):
+    # phi_0 ... phi_{n-1} at each sample point come from one chain, not one
+    # chain per k
+    depths = []
+    real = transference._phi_chain
+
+    def counted(profile, xi, k):
+        depths.append(k)
+        return real(profile, xi, k)
+
+    monkeypatch.setattr(transference, "_phi_chain", counted)
+    check_sandwich(cubic_seq_1e4, cubic_profile(cubic_seq_1e4))
+    assert depths == [1] * 16
+
+
 def test_lemma41_validates_the_jump_indices(cubic_seq_1e4):
     p = TransferenceProfile.power(2, 1, 1, "1/2", 1)
     assert len(cubic_seq_1e4) == 11
