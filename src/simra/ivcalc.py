@@ -10,6 +10,8 @@ never through float, and its endpoints are cached.
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -17,6 +19,7 @@ from mpmath import iv, libmp
 from mpmath.libmp import from_int, mpi_div, round_ceiling, round_floor
 
 from . import rigorous
+from .errors import DomainError
 
 iv.prec = 192  # generous slack so 1e-10 tolerances are never rounding-bound
 
@@ -77,21 +80,35 @@ def iv_pow(x, e):
     return x ** frac_enclosure(Fraction(e))
 
 
+def _double_beside(end, side: int) -> float:
+    """The raw endpoint end as a double below (side -1) or above (+1) it.
+    Past the normal range libmp.to_float may land on the wrong side (an
+    infinity, 0.0, the nearest subnormal): step back by one double."""
+    f = libmp.to_float(end, rnd="c" if side > 0 else "f")
+    if (not sys.float_info.min <= abs(f) < math.inf
+            and libmp.mpf_cmp(libmp.from_float(f), end) == -side):
+        return math.nextafter(f, side * math.inf)
+    return f
+
+
 def lower(v) -> float:
     """Lower endpoint as a float, rounded down (stays a valid lower bound)."""
-    return libmp.to_float(v._mpi_[0], rnd="f")
+    return _double_beside(v._mpi_[0], -1)
 
 
 def upper(v) -> float:
     """Upper endpoint as a float, rounded up (stays a valid upper bound)."""
-    return libmp.to_float(v._mpi_[1], rnd="c")
+    return _double_beside(v._mpi_[1], 1)
 
 
 def midpoint_float(v) -> float:
     # float(ivmpf) rounds downward; going through exact endpoint rationals
     # gives the correctly rounded double of the true midpoint
     lo, hi = endpoints_fraction(v)
-    return float((lo + hi) / 2)
+    try:
+        return float((lo + hi) / 2)
+    except OverflowError:
+        raise DomainError("an enclosure midpoint exceeds the double range") from None
 
 
 def endpoints_fraction(v) -> tuple[Fraction, Fraction]:

@@ -7,8 +7,8 @@ step-envelope ratios (-log L_i / log X_i and -log L_i / log X_{i+1}).
 
 A profile packages a decreasing pair (psi, phi) sandwiching the envelope
 together with the increasing transfer map theta satisfying phi = psi o theta.
-For the power family (psi, phi, theta)(X) = (b X^-beta, a X^-alpha,
-(a/b)^(-1/beta) X^(alpha/beta)), the iterated products
+Every profile is a power profile, (psi, phi, theta)(X) = (b X^-beta,
+a X^-alpha, (a/b)^(-1/beta) X^(alpha/beta)), so the iterated products
 
     phi_k(X) = phi(theta^k(X)) ... phi(theta(X)) phi(X),
     Phi_k(X) = X phi_k(X) = c_k X^(eps_k),
@@ -29,7 +29,7 @@ envelope at each norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
@@ -38,9 +38,9 @@ from . import minpoints, model
 from .construction import jump_indices
 from .errors import (DomainError, DomainTooShort, SandwichViolated,
                      TooFewPoints)
-from .ivcalc import (enclose, endpoints_fraction, frac_enclosure,
-                     frac_interval, hull, iv_log, iv_pow, lower,
-                     midpoint_float, rig_interval, upper)
+from .ivcalc import (enclose, endpoints_fraction, frac_enclosure, hull,
+                     iv_log, iv_pow, lower, midpoint_float, rig_interval,
+                     upper)
 from .rigorous import RigorousReal
 
 
@@ -49,6 +49,14 @@ def _frac(v, name: str) -> Fraction:
         return Fraction(v)
     except (ValueError, TypeError, ZeroDivisionError) as e:
         raise DomainError(f"{name} must be rational: {e}") from None
+
+
+def _check_n(n, below: str = "n must be >= 1") -> None:
+    """Refuse an n that is not an int >= 1, bools included."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise DomainError(f"n must be an int, got {n!r}")
+    if n < 1:
+        raise DomainError(below)
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +69,7 @@ def mm_lhs(lambda_hat, lam, n: int):
     (every higher term carries a vanishing ratio).  Exact for rational
     inputs, enclosure arithmetic for RigorousReal inputs.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    _check_n(n)
     numeric = (int, float, Fraction)
     if isinstance(lambda_hat, numeric) and lambda_hat < 0:
         raise DomainError("lambda_hat must be >= 0")
@@ -109,13 +116,12 @@ def eps_threshold(alpha, beta, n: int) -> Fraction:
     alpha, beta = _frac(alpha, "alpha"), _frac(beta, "beta")
     if not 0 < alpha <= beta:
         raise DomainError("need 0 < alpha <= beta")
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    _check_n(n)
     return Fraction(1, 4 * n) * (alpha / beta) ** n * min(alpha, beta - alpha)
 
 
 def epsilon_delta(a, b, alpha, beta, n: int) -> dict:
-    """Exact exponents and certified constants of the power-family products.
+    """Exact exponents and certified constants of the power-profile products.
 
     Returns eps = 1 - sum alpha^(k+1)/beta^k (exact), the full eps_k ladder,
     delta = the exponent of a/b in the top constant, and enclosures of the
@@ -131,8 +137,7 @@ def epsilon_delta(a, b, alpha, beta, n: int) -> dict:
         alpha, beta = _frac(alpha, "alpha"), _frac(beta, "beta")
         if min(a, b, alpha, beta) <= 0:
             raise DomainError("a, b, alpha, beta must all be positive")
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    _check_n(n)
     r = alpha / beta
     eps_k: list = []
     delta_k: list = []
@@ -165,123 +170,61 @@ def epsilon_delta(a, b, alpha, beta, n: int) -> dict:
 # ---------------------------------------------------------------------------
 # profiles
 
+def _positive(x):
+    """The enclosure of x, refused unless it lies above 0."""
+    xi = enclose(x)
+    if not endpoints_fraction(xi)[0] > 0:
+        raise DomainError(f"profile functions need X > 0, got {x}")
+    return xi
+
+
 @dataclass(frozen=True)
 class TransferenceProfile:
-    """A sandwich profile (psi, phi, theta) for an n-dimensional target.
-
-    family "power": phi(X) = a X^-alpha, psi(X) = b X^-beta.
-    family "power-log": the same with extra factors log^sigma X and
-    log^rho X; theta then has no closed form and is inverted numerically.
-    """
+    """A power sandwich profile for an n-dimensional target:
+    phi(X) = a X^-alpha, psi(X) = b X^-beta, and the transfer map theta in
+    closed form.  The parameters are stored as Fractions, so every exponent
+    stays exact."""
 
     n: int
     a: Fraction
     b: Fraction
     alpha: Fraction
     beta: Fraction
-    family: str = "power"
-    sigma: Fraction = Fraction(0)
-    rho: Fraction = Fraction(0)
-    domain_start: Fraction = field(default=Fraction(2))
+    domain_start: Fraction = Fraction(2)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("profile needs n >= 1")
-        for name in ("a", "b", "alpha", "beta"):
-            if getattr(self, name) <= 0:
+        _check_n(self.n, "profile needs n >= 1")
+        for name in ("a", "b", "alpha", "beta", "domain_start"):
+            value = _frac(getattr(self, name), name)
+            if value <= 0:
                 raise DomainError(f"profile parameter {name} must be positive")
+            object.__setattr__(self, name, value)
         if self.alpha > self.beta:
             raise DomainError("profile needs alpha <= beta")
-        if self.family not in ("power", "power-log"):
-            raise DomainError(f"unknown profile family {self.family!r}")
-        if self.domain_start <= 0:
-            raise DomainError("profile domain_start must be positive")
-        if self.family == "power-log":
-            # phi, psi must be strictly decreasing from the domain start on:
-            # X^-alpha log^sigma X falls iff log X > sigma/alpha
-            floor_ = max(
-                3.0,
-                math.exp(float(self.sigma) / float(self.alpha)) + 1,
-                math.exp(float(self.rho) / float(self.beta)) + 1,
-            )
-            if float(self.domain_start) < floor_:
-                object.__setattr__(self, "domain_start",
-                                   Fraction(math.ceil(floor_)))
 
     @classmethod
     def power(cls, n: int, a, b, alpha, beta, domain_start=2
               ) -> "TransferenceProfile":
-        return cls(n=n, a=_frac(a, "a"), b=_frac(b, "b"),
-                   alpha=_frac(alpha, "alpha"), beta=_frac(beta, "beta"),
-                   family="power",
-                   domain_start=_frac(domain_start, "domain_start"))
-
-    @classmethod
-    def power_log(cls, n: int, a, b, alpha, beta, sigma, rho, domain_start=3
-                  ) -> "TransferenceProfile":
-        return cls(n=n, a=_frac(a, "a"), b=_frac(b, "b"),
-                   alpha=_frac(alpha, "alpha"), beta=_frac(beta, "beta"),
-                   family="power-log",
-                   sigma=_frac(sigma, "sigma"), rho=_frac(rho, "rho"),
-                   domain_start=_frac(domain_start, "domain_start"))
+        return cls(n, a, b, alpha, beta, domain_start)
 
     @cached_property
-    def closed_form(self) -> Optional[dict]:
-        """epsilon_delta of the power family's parameters, computed once per
-        profile; None for power-log, which has no closed form."""
-        if self.family != "power":
-            return None
+    def closed_form(self) -> dict:
+        """epsilon_delta of the profile's parameters, computed once per
+        profile: Phi_k(X) = c_k X^(eps_k) for every k."""
         return epsilon_delta(self.a, self.b, self.alpha, self.beta, self.n)
 
-    # -- pointwise evaluation, certified --------------------------------
-
-    def _mono(self, x, coeff: Fraction, expo: Fraction, logexp: Fraction):
-        out = frac_enclosure(coeff) * iv_pow(x, -expo)
-        if self.family == "power-log" and logexp != 0:
-            out = out * iv_pow(iv_log(x), logexp)
-        return out
+    # -- pointwise evaluation, certified, for X > 0 ----------------------
 
     def phi(self, x):
-        return self._mono(enclose(x), self.a, self.alpha, self.sigma)
+        return frac_enclosure(self.a) * iv_pow(_positive(x), -self.alpha)
 
     def psi(self, x):
-        return self._mono(enclose(x), self.b, self.beta, self.rho)
+        return frac_enclosure(self.b) * iv_pow(_positive(x), -self.beta)
 
     def theta(self, x):
         """The transfer map: the unique solution of psi(theta) = phi(X)."""
-        if self.family == "power":
-            scale = iv_pow(frac_enclosure(self.a / self.b),
-                           -1 / Fraction(self.beta))
-            return scale * iv_pow(enclose(x), self.alpha / self.beta)
-        if isinstance(x, (int, Fraction)):
-            return self._theta_bisect(Fraction(x))
-        # theta is increasing, so endpoint images bracket the image
-        xl, xh = endpoints_fraction(enclose(x))
-        return hull(self._theta_bisect(xl), self._theta_bisect(xh))
-
-    def _theta_bisect(self, x: Fraction):
-        """Monotone bisection of psi(t) = phi(x); relative width 1e-12."""
-        target = self.phi(x)
-        lo = Fraction(self.domain_start)
-        while not lower(self.psi(lo)) >= upper(target):
-            lo /= 2
-            if lo < Fraction(1, 10 ** 9):
-                raise DomainError("transfer map escapes below any bracket")
-        hi = max(x, lo * 2)
-        while not upper(self.psi(hi)) <= lower(target):
-            hi *= 2
-            if hi > 10 ** 60:
-                raise DomainError("transfer map escapes above any bracket")
-        while (hi - lo) > hi * Fraction(1, 10 ** 13):
-            mid = (lo + hi) / 2
-            pm = self.psi(mid)
-            if upper(pm) < lower(target):
-                hi = mid
-            elif lower(pm) > upper(target):
-                lo = mid
-            else:
-                break  # enclosures overlap: mid is already indistinguishable
-        return frac_interval(lo, hi)
+        scale = iv_pow(frac_enclosure(self.a / self.b), -1 / self.beta)
+        return scale * iv_pow(_positive(x), self.alpha / self.beta)
 
 
 def _phi_chain(profile: TransferenceProfile, xi, k: int) -> list:
@@ -296,8 +239,8 @@ def _phi_chain(profile: TransferenceProfile, xi, k: int) -> list:
 
 
 def phi_functions(profile: TransferenceProfile, k: int, x) -> dict:
-    """phi_k and Phi_k at x, via iterated composition; for the power family
-    also through the closed form c_k x^(eps_k), with an agreement check.
+    """phi_k and Phi_k at x, via iterated composition and through the
+    closed form c_k x^(eps_k), with an agreement check.
     """
     if not 0 <= k <= profile.n - 1:
         raise DomainError(f"k={k} outside 0..{profile.n - 1}")
@@ -316,14 +259,12 @@ def _phi_products(profile: TransferenceProfile, x, k: int) -> list[dict]:
     out = []
     for j, phij in enumerate(_phi_chain(profile, xi, k)):
         big_phij = xi * phij
-        closed = None
-        if ed is not None:
-            closed = ed["cK"][j] * iv_pow(xi, ed["epsK"][j])
-            if upper(big_phij) < lower(closed) or upper(closed) < lower(big_phij):
-                raise DomainError(
-                    "iterated and closed-form evaluations are certifiably "
-                    f"disjoint at X={x}, k={j}: implementation bug"
-                )
+        closed = ed["cK"][j] * iv_pow(xi, ed["epsK"][j])
+        if upper(big_phij) < lower(closed) or upper(closed) < lower(big_phij):
+            raise DomainError(
+                "iterated and closed-form evaluations are certifiably "
+                f"disjoint at X={x}, k={j}: implementation bug"
+            )
         out.append({"phiK": phij, "PhiK": big_phij, "PhiKClosed": closed})
     return out
 
@@ -472,9 +413,10 @@ def _check_steps(seq: minpoints.MinimalPointSequence,
 def check_sandwich(seq: minpoints.MinimalPointSequence,
                    profile: TransferenceProfile, grid_count: int = 64) -> dict:
     """Certified psi <= envelope <= phi on all of [A, X_max] (_check_steps),
-    monotonicity of every product Phi_k, the grid minimum of the top product,
-    and the two tail consequences the sandwich forces on consecutive entries
-    (error below phi at the next norm, norm above theta of the next norm).
+    the monotonicity of every product Phi_k = c_k X^(eps_k), read off the
+    sign of eps_k, the grid minimum of the top product, and the two tail
+    consequences the sandwich forces on consecutive entries (error below
+    phi at the next norm, norm above theta of the next norm).
 
     A certified violation of the sandwich raises SandwichViolated with the
     witness X; everything else is reported, not asserted.  The geometric
@@ -499,35 +441,22 @@ def check_sandwich(seq: minpoints.MinimalPointSequence,
         "phi": midpoint_float(profile.phi(x)),
     } for x in grid]
 
-    # monotonicity of the Phi_k: analytic for the power family, grid scan
-    # (flagged heuristic) otherwise
-    mono = []
-    phi_minima = {}
     ed = profile.closed_form
-    if ed is not None:
-        for k in range(n):
-            e_k = ed["epsK"][k]
-            direction = ("increasing" if e_k > 0 else
-                         "decreasing" if e_k < 0 else "constant")
-            mono.append({"k": k, "direction": direction, "heuristic": False,
-                         "requiredIncreasingPasses": e_k >= 0 if k <= n - 2
-                         else None})
+    mono = [{"k": k,
+             "direction": ("increasing" if e_k > 0 else
+                           "decreasing" if e_k < 0 else "constant"),
+             "heuristic": False,
+             "requiredIncreasingPasses": e_k >= 0 if k <= n - 2 else None}
+            for k, e_k in enumerate(ed["epsK"])]
     sample = grid[:: max(1, len(grid) // 16)]
     products = [_phi_products(profile, x, n - 1) for x in sample]
+    phi_minima = {}
     for k in range(n):
         vals = [midpoint_float(p[k]["PhiK"]) for p in products]
         phi_minima[k] = {"min": min(vals),
                          "atX": float(sample[vals.index(min(vals))])}
-        if profile.family != "power":
-            nondec = all(u <= v * (1 + 1e-12) for u, v in zip(vals, vals[1:]))
-            noninc = all(u >= v * (1 - 1e-12) for u, v in zip(vals, vals[1:]))
-            mono.append({"k": k,
-                         "direction": ("increasing" if nondec else
-                                       "decreasing" if noninc else
-                                       "not monotone on grid"),
-                         "heuristic": True})
 
-    report = {
+    return {
         "profile": describe_profile(profile),
         "grid": grid_report,
         "gridCount": len(grid),
@@ -538,12 +467,10 @@ def check_sandwich(seq: minpoints.MinimalPointSequence,
                                 c["normAboveThetaNext"]
                                 for c in consequences),
         "consequences": consequences,
+        "eps": ed["eps"],
+        "epsNonnegative": ed["eps"] >= 0,
+        "delta": ed["delta"],
     }
-    if ed is not None:
-        report["eps"] = ed["eps"]
-        report["epsNonnegative"] = ed["eps"] >= 0
-        report["delta"] = ed["delta"]
-    return report
 
 
 def _check_dimension(seq: minpoints.MinimalPointSequence,
@@ -554,19 +481,15 @@ def _check_dimension(seq: minpoints.MinimalPointSequence,
 
 
 def describe_profile(profile: TransferenceProfile) -> dict:
-    out = {
+    return {
         "n": profile.n,
-        "family": profile.family,
+        "family": "power",
         "a": str(profile.a),
         "b": str(profile.b),
         "alpha": str(profile.alpha),
         "beta": str(profile.beta),
         "domainStart": str(profile.domain_start),
     }
-    if profile.family == "power-log":
-        out["sigma"] = str(profile.sigma)
-        out["rho"] = str(profile.rho)
-    return out
 
 
 # ---------------------------------------------------------------------------

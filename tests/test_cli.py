@@ -173,6 +173,20 @@ def test_transfer_rejects_a_short_grid(cubic_run, capsys, grid):
     assert "transfer.json" not in json.loads(read(cubic_run / "manifest.json"))["files"]
 
 
+def test_transfer_reports_a_constant_past_the_double_range(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["enumerate", "--preset", "sqrt2", "--xmax", "1000",
+                 "--out", str(run)]) == 0
+    capsys.readouterr()
+    code, out = run_cli(capsys, "transfer", "--run", str(run), "--alpha", "1",
+                        "--beta", "1", "--a", "1e400")
+    assert code == 1
+    assert json.loads(out) == {"error": {
+        "type": "DomainError",
+        "message": "an enclosure midpoint exceeds the double range"}}
+    assert not (run / "transfer.json").exists()
+
+
 def test_extremal_subcommand(sqrt2_run, capsys):
     code, _ = run_cli(capsys, "extremal", "--run", str(sqrt2_run),
                       "--alpha", "1", "--beta", "1", "--eps", "0", "--C", "1")
@@ -193,6 +207,16 @@ def test_lambda_n_csv(tmp_path, capsys):
     assert code == 0
     lines = read(path).splitlines()
     assert lines[0] == "n,lambda_n" and len(lines) == 6
+
+
+def test_lambda_n_csv_golden_bytes(tmp_path, capsys):
+    golden = os.path.join(os.path.dirname(__file__), "..", "bench", "golden.json")
+    with open(golden, encoding="utf-8") as f:
+        want = json.load(f)["artifacts"]["spectrum.lambda-n/lambda.csv"]["sha256"]
+    path = tmp_path / "lambda.csv"
+    code, _ = run_cli(capsys, "lambda-n", "--n", "10", "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == want
 
 
 def test_frontier_csv(tmp_path, capsys):

@@ -1,15 +1,20 @@
 """The mpmath interval layer: rationals enter through one outward division."""
 
 import ast
+import math
 import pathlib
 import random
+import sys
 from fractions import Fraction
 
+import pytest
 from mpmath import iv
 
 import simra
 from simra import rigorous
-from simra.ivcalc import enclose, frac_enclosure, frac_interval, hull, rig_interval
+from simra.errors import DomainError
+from simra.ivcalc import (enclose, frac_enclosure, frac_interval, hull, lower,
+                          midpoint_float, rig_interval, upper)
 
 
 def reference_enclosure(f):
@@ -58,6 +63,24 @@ def test_enclose_matches_the_expressions_it_replaces():
 def test_hull_runs_from_one_lower_end_to_another_upper_end():
     lo, hi = frac_interval(1, 2), frac_interval(Fraction(3, 7), 5)
     assert hull(lo, hi)._mpi_ == (lo._mpi_[0], hi._mpi_[1])
+
+
+def test_float_endpoints_stay_bounds_past_the_double_range():
+    big, tiny, top = Fraction(10 ** 400), Fraction(1, 10 ** 400), sys.float_info.max
+    # a finite endpoint past the range gives the largest finite double
+    assert lower(frac_enclosure(big)) == top and upper(frac_enclosure(big)) == math.inf
+    assert upper(frac_enclosure(-big)) == -top and lower(frac_enclosure(-big)) == -math.inf
+    # an endpoint below the smallest double is not rounded to the wrong side of 0
+    assert lower(frac_enclosure(tiny)) == 0.0 < upper(frac_enclosure(tiny))
+    assert lower(frac_enclosure(-tiny)) < 0.0 == upper(frac_enclosure(-tiny))
+    assert lower(iv.mpf(["-inf", "inf"])) == -math.inf
+    assert upper(iv.mpf(["-inf", "inf"])) == math.inf
+    # inside the range nothing moves
+    third = frac_enclosure(Fraction(1, 3))
+    assert lower(third) == 0.3333333333333333 and upper(third) == 0.33333333333333337
+    with pytest.raises(DomainError, match="exceeds the double range"):
+        midpoint_float(frac_enclosure(big))
+    assert midpoint_float(frac_enclosure(Fraction(top))) == top
 
 
 def test_only_ivcalc_imports_mpmath():

@@ -15,8 +15,8 @@ from simra.errors import (
     TooFewPoints,
 )
 from simra.construction import jump_indices, select_indices
-from simra.ivcalc import (frac_enclosure, iv_pow, lower, midpoint_float,
-                          rig_interval, upper)
+from simra.ivcalc import (endpoints_fraction, frac_enclosure, frac_interval,
+                          iv_pow, lower, midpoint_float, rig_interval, upper)
 from simra.transference import (
     TransferenceProfile,
     check_sandwich,
@@ -161,14 +161,45 @@ def test_profile_validation():
         TransferenceProfile.power(0, 1, 1, 1, 1)
     with pytest.raises(DomainError):
         TransferenceProfile.power(2, -1, 1, 1, 1)
-    # a domain start <= 0 is refused by both families, before the power-log
-    # floor could lift it to a valid one
     for start in (-1, 0):
         with pytest.raises(DomainError, match="domain_start must be positive"):
             TransferenceProfile.power(1, 2, Fraction(1, 4), 1, 1, domain_start=start)
-        with pytest.raises(DomainError, match="domain_start must be positive"):
-            TransferenceProfile.power_log(2, 1, 1, Fraction(1, 2), 1, Fraction(1, 2),
-                                          Fraction(1, 4), domain_start=start)
+
+
+# every entry point that takes the dimension n refuses a non-int (a bool
+# included) with DomainError, and keeps its own message for n < 1
+N_ENTRY_POINTS = [
+    ("profile", lambda n: TransferenceProfile.power(n, 1, 1, Fraction(1, 2), 1),
+     "profile needs n >= 1"),
+    ("epsilon_delta", lambda n: epsilon_delta(1, 1, Fraction(1, 2), 1, n),
+     "n must be >= 1"),
+    ("eps_threshold", lambda n: eps_threshold(Fraction(1, 2), 1, n),
+     "n must be >= 1"),
+    ("mm_lhs", lambda n: mm_lhs(Fraction(1, 2), 1, n), "n must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("build, below", [e[1:] for e in N_ENTRY_POINTS],
+                         ids=[e[0] for e in N_ENTRY_POINTS])
+def test_n_must_be_an_int_at_least_one(build, below):
+    build(1)
+    for bad in (2.5, Fraction(2), True, False, "2"):
+        with pytest.raises(DomainError, match="n must be an int"):
+            build(bad)
+    for bad in (0, -3):
+        with pytest.raises(DomainError) as err:
+            build(bad)
+        assert str(err.value) == below
+
+
+def test_profile_functions_refuse_x_at_or_below_zero():
+    p = TransferenceProfile.power(2, 1, 1, Fraction(1, 3), Fraction(1, 2))
+    for f in (p.phi, p.psi, p.theta):
+        # an enclosure reaching down to 0 is refused too
+        for x in (0, -5, Fraction(-1, 3), frac_interval(-1, 1), frac_interval(0, 1)):
+            with pytest.raises(DomainError, match="need X > 0"):
+                f(x)
+        assert lower(f(Fraction(1, 10 ** 9))) > 0
 
 
 def test_phi_psi_theta_power():
@@ -180,6 +211,12 @@ def test_phi_psi_theta_power():
         lhs = p.psi(p.theta(x))
         rhs = p.phi(x)
         assert lower(lhs) <= upper(rhs) and lower(rhs) <= upper(lhs)
+    # built directly from ints, the exponent alpha/beta = 1/3 stays exact,
+    # so the enclosure of theta(8) = 2 holds 2
+    q = TransferenceProfile(n=1, a=1, b=1, alpha=1, beta=3)
+    assert q == TransferenceProfile.power(1, 1, 1, 1, 3)
+    lo, hi = endpoints_fraction(q.theta(8))
+    assert lo <= 2 <= hi
 
 
 def test_phi_functions_worked_values():
@@ -220,19 +257,6 @@ def test_iterated_vs_closed_random_profiles():
             out = phi_functions(p, k, x)  # raises on certified disagreement
             it, cl = midpoint_float(out["PhiK"]), midpoint_float(out["PhiKClosed"])
             assert it == pytest.approx(cl, rel=1e-10)
-
-
-def test_power_log_family():
-    p = TransferenceProfile.power_log(2, 1, 1, Fraction(1, 2), 1,
-                                      sigma=Fraction(1, 2), rho=Fraction(1, 4))
-    assert p.domain_start >= 3  # pushed past the hump of X^-alpha log^sigma X
-    x = Fraction(1000)
-    lhs = p.psi(p.theta(x))
-    rhs = p.phi(x)
-    assert midpoint_float(lhs) == pytest.approx(midpoint_float(rhs), rel=1e-10)
-    out = phi_functions(p, 1, 1000)
-    assert out["PhiKClosed"] is None
-    assert midpoint_float(out["PhiK"]) > 0
 
 
 # -- exponent estimation -------------------------------------------------------
