@@ -216,6 +216,17 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _fit_power(x: Fraction, e: Fraction, constant: str) -> Fraction:
+    """x^e for the fit of `constant`, in floats; DomainError past their range."""
+    try:
+        return Fraction(float(x) ** float(e)).limit_denominator(10 ** 9)
+    except OverflowError:
+        exponent = {"a": "alpha", "b": "beta"}[constant]
+        raise DomainError(
+            f"cannot fit the constant {constant}: X^{exponent} exceeds the double "
+            f"range at X = {float(x):.6g}; pass --{constant}") from None
+
+
 def _fit_profile(seq, n: int, alpha: Fraction, beta: Fraction,
                  a: Optional[Fraction], b: Optional[Fraction]):
     """Fill missing sandwich constants from the run data with 10% slack."""
@@ -227,14 +238,15 @@ def _fit_profile(seq, n: int, alpha: Fraction, beta: Fraction,
         ents = seq.entries
         for i, e in enumerate(ents):
             l_mid = Fraction(midpoint_float(rig_interval(e.l_value)))
-            x_hi = (Fraction(midpoint_float(rig_interval(ents[i + 1].x_value)))
-                    if i + 1 < len(ents) else Fraction(seq.x_max))
-            x_lo = max(Fraction(1),
-                       Fraction(midpoint_float(rig_interval(e.x_value))))
-            cand_a = l_mid * Fraction(float(x_hi) ** float(alpha)).limit_denominator(10 ** 9)
-            cand_b = l_mid * Fraction(float(x_lo) ** float(beta)).limit_denominator(10 ** 9)
-            hi = max(hi, cand_a)
-            lo = cand_b if lo is None else min(lo, cand_b)
+            if fitted["a"]:
+                x_hi = (Fraction(midpoint_float(rig_interval(ents[i + 1].x_value)))
+                        if i + 1 < len(ents) else Fraction(seq.x_max))
+                hi = max(hi, l_mid * _fit_power(x_hi, alpha, "a"))
+            if fitted["b"]:
+                x_lo = max(Fraction(1),
+                           Fraction(midpoint_float(rig_interval(e.x_value))))
+                cand_b = l_mid * _fit_power(x_lo, beta, "b")
+                lo = cand_b if lo is None else min(lo, cand_b)
         if a is None:
             a = (hi * Fraction(11, 10)).limit_denominator(10 ** 9)
         if b is None:

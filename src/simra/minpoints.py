@@ -29,6 +29,9 @@ is one table per axis holding every value's share of the point's 64-bit
 lower bound, so a point's lower bound is a max of table entries; the
 windowed scan drops the axis values whose share already exceeds the
 start point's error, since no point through them can become a record.
+Both are built by addition: x_0 only grows, so each axis carries its
+window ends and x_0 xi_k as running integers, and a table's entries step
+by xi_0's snapshot ends, swapped below 0.
 
 All record comparisons are certified: branch values are tracked symbolically
 (so exact ties between branches are recognized, not fought numerically) and
@@ -91,9 +94,10 @@ class _Comparator:
     Callers first pre-test a candidate against an entry at 64 bits, with
     plain integers and no keys: lower(coords) > upper(entry keys) certifies
     that the candidate is strictly worse, and compare decides only what the
-    pre-test leaves; the window oracles take the same bound axis by axis
-    (axis_table).  Key intervals are recomputed at each use; behind the
-    pre-test a cache of them bought no measurable time.
+    pre-test leaves; the window oracles take the same bound axis by axis,
+    a whole window of x_k at once (axis_table).  Key intervals are
+    recomputed at each use; behind the pre-test a cache of them bought no
+    measurable time.
     """
 
     def __init__(self, target: TargetPoint):
@@ -105,29 +109,58 @@ class _Comparator:
 
     def lower(self, coords: Sequence[int]) -> int:
         """Certified lower bound of 2^64 L(coords), from the 64-bit snapshot
-        alone: no keys are built, and it holds whatever kind the keys are."""
+        alone: no keys are built, and it holds whatever kind the keys are.
+
+        With [z_lo, z_hi] and [s_lo, s_hi] the snapshots of xi_0 and xi_k,
+        the axis-k term is the low end of |x_k xi_0 - x_0 xi_k|'s enclosure,
+        max(a_lo - b_hi, b_lo - a_hi) for [a_lo, a_hi] = x_k [z_lo, z_hi]
+        and [b_lo, b_hi] = x_0 [s_lo, s_hi]; a negative factor swaps the
+        ends of the enclosure it scales."""
         x0 = coords[0]
         zlo, zhi = self._snap[0]
         best = 0
         for k in range(1, self.n + 1):
-            alo, ahi = _scaled(coords[k], zlo, zhi)
-            blo, bhi = _scaled(x0, *self._snap[k])
-            # the low end of _abs_iv(alo - bhi, ahi - blo), folded into best
-            best = max(best, alo - bhi, blo - ahi)
+            v = coords[k]
+            slo, shi = self._snap[k]
+            if x0 < 0:
+                slo, shi = shi, slo
+            if v < 0:
+                a, b = v * zhi - x0 * shi, x0 * slo - v * zlo
+            else:
+                a, b = v * zlo - x0 * shi, x0 * slo - v * zhi
+            if a > best:
+                best = a
+            if b > best:
+                best = b
         return best
 
-    def axis_table(self, x0: int, k: int, lo: int, hi: int,
+    def axis_table(self, b_lo: int, b_hi: int, lo: int, hi: int,
                    cutoff) -> list[tuple[int, int, int]]:
         """(v, v^2, d) for each v in [lo, hi] whose d <= cutoff, where d is
-        the axis-k term of lower: lower(c) = max(0, max_k d_k(c_0, c_k))."""
+        lower's axis-k term at x_k = v and [b_lo, b_hi] encloses 2^64 x_0
+        xi_k: lower(c) = max(0, max_k d_k(c_k)).
+
+        d(v) = max(v z_a - b_hi, b_lo - v z_b), with (z_a, z_b) = (z_hi,
+        z_lo) below 0 and (z_lo, z_hi) from 0 up, where lower swaps the ends
+        of xi_0's snapshot; on each side both terms step by addition."""
         zlo, zhi = self._snap[0]
-        blo, bhi = _scaled(x0, *self._snap[k])
         table = []
+        if lo < 0:
+            a, b = lo * zhi - b_hi, b_lo - lo * zlo
+            for v in range(lo, min(hi + 1, 0)):
+                d = a if a > b else b
+                if d <= cutoff:
+                    table.append((v, v * v, d))
+                a += zhi
+                b -= zlo
+            lo = 0
+        a, b = lo * zlo - b_hi, b_lo - lo * zhi
         for v in range(lo, hi + 1):
-            alo, ahi = _scaled(v, zlo, zhi)
-            d = max(alo - bhi, blo - ahi)
+            d = a if a > b else b
             if d <= cutoff:
                 table.append((v, v * v, d))
+            a += zlo
+            b -= zhi
         return table
 
     def upper(self, keys: tuple, point) -> int:
@@ -319,7 +352,8 @@ def _sweep_below(heap: list, limit, entries: list[MinimalPointEntry],
 
 def _sweep(candidates: Iterable[tuple[int, ...]],
            comparator: _Comparator) -> list[MinimalPointEntry]:
-    heap = [(sum(v * v for v in c), c) for c in set(candidates)]
+    """The records among candidates, distinct canonical points."""
+    heap = [(sum(v * v for v in c), c) for c in candidates]
     heapq.heapify(heap)
     entries: list[MinimalPointEntry] = []
     _sweep_below(heap, math.inf, entries, comparator)
@@ -492,25 +526,41 @@ def _window_points(comparator: _Comparator, approx_set: ApproxSet, norm_sq_max: 
     without the values whose d_k exceeds cutoff; the points are the products
     of the tables within the norm bound, their squared norms sums and their
     lower bounds maxima of table entries.  S is asked only member.
+
+    The scan never takes x_0 below 0, so no sign case arises: each axis
+    keeps r_lo x_0, r_hi x_0 and x_0 [s_lo, s_hi] (the 2^64-scaled
+    enclosure of x_0 xi_k, the b of axis_table) as running integers,
+    stepped once per x_0 by r_lo, r_hi, s_lo and s_hi.  The first axis
+    starts the products, with lower's floor of 0.
     """
     zlo = _abs_iv(*comparator._snap[0])[0]
     if zlo <= 0:
         raise TieUnresolved("cannot bound |xi_0| away from zero for the window scan")
     margin = -(-start_hi // zlo) + 1
-    rsnap = comparator.target.ratio_snapshot(_BASE_BITS)
+    steps = [(rlo, rhi, *snap) for (rlo, rhi), snap in
+             zip(comparator.target.ratio_snapshot(_BASE_BITS), comparator._snap[1:])]
+    axes = [(0, 0, 0, 0)] * len(steps)
     zero = (0,) * (comparator.n + 1)
     for x0 in range(isqrt(norm_sq_max) + 1):
-        points = [(x0 * x0, (x0,), 0)]
-        for k, (rlo, rhi) in enumerate(rsnap, 1):
-            table = comparator.axis_table(x0, k, ((rlo * x0) >> _BASE_BITS) - margin,
-                                          -((-rhi * x0) >> _BASE_BITS) + margin, cutoff)
-            points = [(ns + vv, c + (v,), max(low, d)) for ns, c, low in points
-                      for v, vv, d in table if ns + vv <= norm_sq_max]
+        x0_sq = x0 * x0
+        for k, (rlo_x0, rhi_x0, blo, bhi) in enumerate(axes):
+            table = comparator.axis_table(blo, bhi, (rlo_x0 >> _BASE_BITS) - margin,
+                                          -(-rhi_x0 >> _BASE_BITS) + margin, cutoff)
+            if k == 0:
+                points = [(x0_sq + vv, (x0, v), d if d > 0 else 0) for v, vv, d in table
+                          if x0_sq + vv <= norm_sq_max]
+            else:
+                points = [(ns + vv, c + (v,), low if low > d else d) for ns, c, low in points
+                          for v, vv, d in table if ns + vv <= norm_sq_max]
+        if x0 == 0:
+            # canonical only; the x_0 = 0 window is symmetric, so it holds
+            # the canonical form of every point it holds
+            points = [p for p in points if p[1] > zero]
         for p in points:
-            # c > zero: canonical; the x_0 = 0 window is symmetric, so it
-            # holds the canonical form of every point it holds
-            if p[1] > zero and approx_set.member(p[1]):
+            if approx_set.member(p[1]):
                 yield p
+        axes = [(rlo_x0 + rlo, rhi_x0 + rhi, blo + slo, bhi + shi)
+                for (rlo_x0, rhi_x0, blo, bhi), (rlo, rhi, slo, shi) in zip(axes, steps)]
 
 
 def exhaustive_scan(target: TargetPoint, approx_set: ApproxSet,
@@ -520,20 +570,21 @@ def exhaustive_scan(target: TargetPoint, approx_set: ApproxSet,
     (_window_points), swept like the enumerator's candidates.
 
     Its windows are sized once by the start point, not by the enumerator's
-    records, and S is asked only member.  An axis value whose d_k exceeds
-    the start's 64-bit upper bound is dropped before the product: every
-    point through it has L >= lower > L_start >= the L of every record, so
-    it can never become one (records after the start beat L_start, and the
-    start's own group is added whole).
+    records, and S is asked only member; it shares _Comparator's lower
+    bound and sweep with the enumerator, nothing of its candidate scan.  An
+    axis value whose d_k exceeds the start's 64-bit upper bound is dropped
+    as its table is built, before the product: every point through it has
+    L >= lower > L_start >= the L of every record, so it can never become
+    one (records after the start beat L_start, and the start's own group
+    is added whole).
     """
     x_max, norm_sq_max = _validate_x_max(x_max)
     approx_set.check_ambient(target.n + 1)
     comparator = _Comparator(target)
-    _, group, start_hi = _start_group(comparator, approx_set, x_max, norm_sq_max)
-    cands = set(group)
-    cands.update(c for _, c, _ in _window_points(comparator, approx_set, norm_sq_max,
-                                                 start_hi, start_hi))
-    entries = _sweep(cands, comparator)
+    ns0, group, start_hi = _start_group(comparator, approx_set, x_max, norm_sq_max)
+    # the window points are distinct, and those of norm ns0 are in the group
+    window = _window_points(comparator, approx_set, norm_sq_max, start_hi, start_hi)
+    entries = _sweep(group + [c for ns, c, _ in window if ns != ns0], comparator)
     return MinimalPointSequence(target, approx_set, x_max, entries, norm_sq_max)
 
 

@@ -187,6 +187,26 @@ def test_transfer_reports_a_constant_past_the_double_range(tmp_path, capsys):
     assert not (run / "transfer.json").exists()
 
 
+@pytest.mark.parametrize("given, constant, exponent, at", [
+    ([], "a", "alpha", "8.60233"), (["--a", "1"], "b", "beta", "8.60233")])
+def test_transfer_reports_a_fit_past_the_double_range(tmp_path, capsys, given,
+                                                      constant, exponent, at):
+    # fitting a missing constant takes X^alpha (X^beta) in floats; past
+    # their range the error names the constant to pass instead
+    run = tmp_path / "run"
+    assert main(["enumerate", "--preset", "sqrt2", "--xmax", "1000",
+                 "--out", str(run)]) == 0
+    capsys.readouterr()
+    code, out = run_cli(capsys, "transfer", "--run", str(run), "--alpha", "400",
+                        "--beta", "400", *given)
+    assert code == 1
+    assert json.loads(out) == {"error": {
+        "type": "DomainError",
+        "message": f"cannot fit the constant {constant}: X^{exponent} exceeds the "
+                   f"double range at X = {at}; pass --{constant}"}}
+    assert not (run / "transfer.json").exists()
+
+
 def test_extremal_subcommand(sqrt2_run, capsys):
     code, _ = run_cli(capsys, "extremal", "--run", str(sqrt2_run),
                       "--alpha", "1", "--beta", "1", "--eps", "0", "--C", "1")

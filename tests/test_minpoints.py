@@ -1,7 +1,10 @@
 """Minimal-point enumeration, envelope queries, and the independent oracles."""
 
+import hashlib
 import io
+import json
 import math
+import os
 import random
 import re
 import time
@@ -475,15 +478,49 @@ def test_minimality_check_count_at_2000(preset, want):
     assert verify_minimality(seq) == want
 
 
+def test_oracle_json_golden_bytes():
+    # oracle.json as the benchmark's certify workload writes it: the four
+    # presets at X = 2000, enumerated, checked against exhaustive_scan and
+    # verified; json.dump(sort_keys=True, indent=1) plus a newline
+    golden = os.path.join(os.path.dirname(__file__), "..", "bench", "golden.json")
+    with open(golden, encoding="utf-8") as f:
+        want = json.load(f)["artifacts"]["certify.oracle/oracle.json"]
+    doc = {}
+    for name in ("cbrt2", "liouville-sqrt2", "sqrt2", "sqrt2-even-x0"):
+        target, approx = presets.load_preset(name)
+        fast = enumerate_minimal_points(target, approx, 2000)
+        assert exhaustive_scan(target, approx, 2000).points() == fast.points()
+        verify_properties(fast)
+        doc[name] = {"points": [list(p) for p in fast.points()],
+                     "minimalityChecked": verify_minimality(fast)}
+    text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    assert len(doc) == want["entries"]
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want["sha256"]
+
+
 @LOWER_BOUND_TARGETS
 def test_axis_tables_agree_with_the_lower_bound(target):
     # the window scan's per-axis tables give every point's lower bound as
-    # max(0, max_k d_k), the value _Comparator.lower computes point by point
+    # max(0, max_k d_k), the value _Comparator.lower computes point by point;
+    # windows of 7 values around each coordinate, many of them across v = 0
+    # where the tables swap the ends of xi_0's snapshot
     comparator = minpoints._Comparator(target)
+    crossing = 0
     for c in _seeded_points(target, random.Random(13)):
-        ds = [comparator.axis_table(c[0], k, c[k], c[k], math.inf) for k in range(1, len(c))]
-        assert [t[0][:2] for t in ds] == [(v, v * v) for v in c[1:]]
-        assert max(0, *(t[0][2] for t in ds)) == comparator.lower(c), c
+        tables = []
+        for k in range(1, len(c)):
+            b_lo, b_hi = minpoints._scaled(c[0], *comparator._snap[k])
+            tables.append(comparator.axis_table(b_lo, b_hi, c[k] - 3, c[k] + 3, math.inf))
+            crossing += abs(c[k]) <= 3
+        assert [[t[:2] for t in table] for table in tables] == \
+            [[(v, v * v) for v in range(ck - 3, ck + 4)] for ck in c[1:]]
+        at_c = [table[3][2] for table in tables]
+        for k, table in enumerate(tables, 1):
+            others = at_c[:k - 1] + at_c[k:]
+            for v, _, d in table:
+                point = c[:k] + (v,) + c[k + 1:]
+                assert max(0, d, *others) == comparator.lower(point), point
+    assert crossing >= 20
 
 
 @pytest.mark.parametrize("n, x_max", [(1, 150), (2, 20)])
