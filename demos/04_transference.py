@@ -22,8 +22,8 @@ print(f"exponent estimates: lambda ~ {est.lambda_est:.4f}, "
 print(f"spectrum check: mm_lhs(hat, lambda, 2) = "
       f"{transference.mm_lhs(est.lambda_hat_est, est.lambda_est, 2):.4f} (<= 1 required)")
 
-profile = transference.TransferenceProfile.power(2, 3, Fraction(1, 8),
-                                                 Fraction(2, 5), Fraction(3, 5))
+profile = transference.TransferenceProfile(2, 3, Fraction(1, 8),
+                                           Fraction(2, 5), Fraction(3, 5))
 ed = transference.epsilon_delta(profile.a, profile.b, profile.alpha,
                                 profile.beta, profile.n)
 print(f"\nprofile 3 X^(-2/5) / (1/8) X^(-3/5): eps = {ed['eps']}, "

@@ -13,7 +13,7 @@ from fractions import Fraction
 from simra import spectra, transference
 
 print("spectrum corners (uniform exponent forcing lambda = infinity):")
-for n, root in spectra.lambda_rows(2, 8):
+for n, root in spectra.lambda_rows(8):
     print(f"  n={n}:  lambda_n = {float(root):.12f}")
 print("  (n=2 is the inverse golden ratio)")
 

@@ -18,6 +18,7 @@ Environment: SIMRA_PRECISION_CAP sets the one precision cap in bits (default
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import math
@@ -251,7 +252,7 @@ def _fit_profile(seq, n: int, alpha: Fraction, beta: Fraction,
             a = (hi * Fraction(11, 10)).limit_denominator(10 ** 9)
         if b is None:
             b = (lo * Fraction(9, 10)).limit_denominator(10 ** 9)
-    profile = transference.TransferenceProfile.power(n, a, b, alpha, beta)
+    profile = transference.TransferenceProfile(n, a, b, alpha, beta)
     return profile, fitted
 
 
@@ -278,8 +279,8 @@ def _cmd_extremal(args) -> int:
     seq, manifest = _load_run(args.run)
     pts = [e.point.coords for e in seq.entries]
     report = transference.verify_extremal_sequence(
-        pts, seq.target, seq.approx_set, Fraction(args.alpha),
-        Fraction(args.beta), Fraction(args.eps), Fraction(args.C), seq=seq)
+        pts, seq, Fraction(args.alpha), Fraction(args.beta), Fraction(args.eps),
+        Fraction(args.C))
     name = "extremal.json"
     digest = _write_text(os.path.join(args.run, name),
                          json_canonical(_fixed(report)))
@@ -302,7 +303,7 @@ def _cmd_frontier(args) -> int:
 def _cmd_lambda_n(args) -> int:
     if args.out:
         buf = io.StringIO()
-        spectra.write_lambda_csv(buf, 2, args.n)
+        spectra.write_lambda_csv(buf, args.n)
         _emit(args, buf.getvalue())
     else:
         val = spectra.lambda_n(args.n)
@@ -501,6 +502,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # the parser is about 470 objects in reference cycles: collect them now,
+    # not at the collector's next pass, which may fall under the command's
+    # peak memory
+    gc.collect(1)
     try:
         return args.func(args)
     except (SimraError, OSError, ValueError, ZeroDivisionError) as e:

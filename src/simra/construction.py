@@ -25,8 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import subspaces
-from .errors import (AmbientMismatch, DomainError, InsufficientData,
-                     LevelOutOfRange)
+from .errors import DomainError, InsufficientData, LevelOutOfRange
 from .rigorous import RigorousReal
 from .subspaces import RationalSubspace
 
@@ -58,8 +57,9 @@ def jump_indices(indices: Sequence[int], length: int) -> list[int]:
     return idx
 
 
-def select_indices(seq, i0: int, n: Optional[int] = None) -> list[int]:
-    """The indices [i_0, ..., i_{n-1}] of the dimension jumps after i0.
+def select_indices(seq, i0: int) -> list[int]:
+    """The indices [i_0, ..., i_{n-1}] of the dimension jumps after i0, for
+    points of R^(n+1).
 
     i_t is the largest index with dim <x_{i0}..x_{i_t}> = t+1, certified by
     observing the jump to t+2; exact ranks over Q.  Raises InsufficientData
@@ -69,14 +69,9 @@ def select_indices(seq, i0: int, n: Optional[int] = None) -> list[int]:
     if not pts:
         raise InsufficientData("empty point sequence")
     ambient = len(pts[0])
-    if n is None:
-        n = ambient - 1
+    n = ambient - 1
     if n < 2:
         raise DomainError("the construction needs dimension n >= 2")
-    if ambient != n + 1:
-        raise AmbientMismatch(
-            f"points live in R^{ambient}, the construction expects R^{n + 1}"
-        )
     if not 0 <= i0 < len(pts):
         raise DomainError(f"i0={i0} is outside the sequence (length {len(pts)})")
 
@@ -246,8 +241,7 @@ def theorem31_ratio(seq, i0: int) -> dict:
     lhs = X_{i_1} ... X_{i_{n-1}} and rhs = prod_t L_{i_t} X_{i_t+1}; their
     ratio is the quantity whose sup over i0 measures the sequence constant.
     """
-    n = seq.target.n
-    idx = select_indices(seq, i0, n)
+    idx = select_indices(seq, i0)
     entries = seq.entries
     lhs: Union[RigorousReal, int] = 1
     lhs_sq = 1

@@ -49,15 +49,15 @@ def frac_interval(lo, hi):
     return frac_enclosure(mid) + frac_enclosure(rad) * iv.mpf([-1, 1])
 
 
-def rig_interval(x, bits: int = 96):
-    """iv enclosure of a RigorousReal, refined best-effort toward 2^-bits."""
-    lo, hi, _ = rigorous.enclosure(x, bits)
+def rig_interval(x):
+    """iv enclosure of a RigorousReal, refined best-effort toward 2^-96."""
+    lo, hi, _ = rigorous.enclosure(x, 96)
     return frac_interval(lo, hi)
 
 
 def enclose(v):
     """The iv enclosure of v: an iv value as it is, a RigorousReal through
-    rig_interval at its default 96 bits, anything else as one rational."""
+    rig_interval at 96 bits, anything else as one rational."""
     if isinstance(v, iv.mpf):
         return v
     if isinstance(v, rigorous.RigorousReal):

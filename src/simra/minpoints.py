@@ -21,23 +21,25 @@ kind.
 
 Two independent oracles are kept, and both ask S only member: a literal
 scan of every canonical point of Z^(n+1) (small X only), and a windowed
-scan.  The windowed scan and verify_minimality list the same points: the
-smallest-norm group of S, then at each x_0 the members of S in plain
-per-coordinate windows sized by the start point, which provably contain
-every point able to beat any later record or to violate (c).  Each window
-is one table per axis holding every value's share of the point's 64-bit
-lower bound, so a point's lower bound is a max of table entries; the
-windowed scan drops the axis values whose share already exceeds the
-start point's error, since no point through them can become a record.
-Both are built by addition: x_0 only grows, so each axis carries its
-window ends and x_0 xi_k as running integers, and a table's entries step
-by xi_0's snapshot ends, swapped below 0.
+scan.  The windowed scan and verify_minimality read one candidate stream
+(_oracle_points): the smallest-norm group of S, then at each x_0 the
+members of S of every other norm in plain per-coordinate windows sized by
+the start point, which provably contain every point able to beat any
+later record or to violate (c).  Each window is one table per axis holding
+every value's share of the point's 64-bit lower bound, so a point's lower
+bound is a max of table entries; the windowed scan drops the axis values
+whose share already exceeds the start point's error, since no point
+through them can become a record.  Both are built by addition: x_0 only
+grows, so each axis carries its window ends and x_0 xi_k as running
+integers, and a table's entries step by xi_0's snapshot ends, swapped
+below 0.
 
 All record comparisons are certified: branch values are tracked symbolically
 (so exact ties between branches are recognized, not fought numerically) and
 numerically as scaled-integer enclosures with doubling precision.  A
 certified 64-bit integer lower bound drops the points that are plainly
-worse than the record before any key is built.
+worse than the record before any key is built.  The comparator owns the
+target's scaled-integer view; the scans read nothing else of the target.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from functools import cached_property
 from math import isqrt
 from typing import Iterable, Optional, Sequence, Union
 
@@ -91,6 +93,14 @@ class _Comparator:
     distinct values, so escalation terminates; an unresolved overlap at the
     cap signals an insufficient cap or dependent coordinates.
 
+    The comparator owns the target's view at scale 2^64: the exact values
+    and saturation flags of the coordinates and snap (dyadic bounds
+    [lo, hi] / 2^64 of every xi_k), computed as it is built, and ratio_snap
+    (the same of every xi_k / xi_0, k >= 1), computed when a scan first
+    reads it; the comparators that only compare never enclose a ratio.
+    The scans read only this view.  Snapshots at more bits are computed
+    when a comparison escalates to them, once per bit count (snapshot).
+
     Callers first pre-test a candidate against an entry at 64 bits, with
     plain integers and no keys: lower(coords) > upper(entry keys) certifies
     that the candidate is strictly worse, and compare decides only what the
@@ -101,11 +111,26 @@ class _Comparator:
     """
 
     def __init__(self, target: TargetPoint):
-        self.target = target
+        coords = target.coords
         self.n = target.n
-        self.exact = target.exact_values()
-        self.sat = target.saturation_flags()
-        self._snap = target.snapshot(_BASE_BITS)
+        self.exact = tuple(c.lo if c.is_exact else None for c in coords)
+        self.sat = tuple(c.saturated for c in coords)
+        self._coords = coords
+        self._snaps: dict[int, list[tuple[int, int]]] = {}
+        self.snap = self.snapshot(_BASE_BITS)
+
+    @cached_property
+    def ratio_snap(self) -> list[tuple[int, int]]:
+        return [rigorous.dyadic_bounds(c / self._coords[0], _BASE_BITS)
+                for c in self._coords[1:]]
+
+    def snapshot(self, bits: int) -> list[tuple[int, int]]:
+        """Integer bounds [lo, hi] / 2^bits of every coordinate, computed
+        once per bit count."""
+        snap = self._snaps.get(bits)
+        if snap is None:
+            snap = self._snaps[bits] = [rigorous.dyadic_bounds(c, bits) for c in self._coords]
+        return snap
 
     def lower(self, coords: Sequence[int]) -> int:
         """Certified lower bound of 2^64 L(coords), from the 64-bit snapshot
@@ -117,11 +142,11 @@ class _Comparator:
         and [b_lo, b_hi] = x_0 [s_lo, s_hi]; a negative factor swaps the
         ends of the enclosure it scales."""
         x0 = coords[0]
-        zlo, zhi = self._snap[0]
+        zlo, zhi = self.snap[0]
         best = 0
         for k in range(1, self.n + 1):
             v = coords[k]
-            slo, shi = self._snap[k]
+            slo, shi = self.snap[k]
             if x0 < 0:
                 slo, shi = shi, slo
             if v < 0:
@@ -143,7 +168,7 @@ class _Comparator:
         d(v) = max(v z_a - b_hi, b_lo - v z_b), with (z_a, z_b) = (z_hi,
         z_lo) below 0 and (z_lo, z_hi) from 0 up, where lower swaps the ends
         of xi_0's snapshot; on each side both terms step by addition."""
-        zlo, zhi = self._snap[0]
+        zlo, zhi = self.snap[0]
         table = []
         if lo < 0:
             a, b = lo * zhi - b_hi, b_lo - lo * zlo
@@ -197,7 +222,7 @@ class _Comparator:
             lo = (f.numerator << bits) // f.denominator
             hi = -((-f.numerator << bits) // f.denominator)
             return lo, hi, True
-        snap = self.target.snapshot(bits)
+        snap = self.snapshot(bits)
         if key[0] == "r":
             zlo, zhi = _abs_iv(*snap[0])
             return key[1] * zlo, key[1] * zhi, self.sat[0]
@@ -317,8 +342,8 @@ def _entry(target: TargetPoint, index: int, coords: tuple[int, ...],
     )
 
 
-def _sweep_below(heap: list, limit, entries: list[MinimalPointEntry],
-                 comparator: _Comparator) -> None:
+def _sweep_below(target: TargetPoint, heap: list, limit,
+                 entries: list[MinimalPointEntry], comparator: _Comparator) -> None:
     """Pop every (norm_sq, coords) group with norm_sq < limit off the heap,
     appending each group's best point when it beats the record entries[-1].
 
@@ -328,7 +353,6 @@ def _sweep_below(heap: list, limit, entries: list[MinimalPointEntry],
     exceeds the record's 64-bit upper bound is dropped before its keys are
     built; compare decides every other point.
     """
-    target = comparator.target
     record = rec_hi = None
     while heap and heap[0][0] < limit:
         ns = heap[0][0]
@@ -350,28 +374,28 @@ def _sweep_below(heap: list, limit, entries: list[MinimalPointEntry],
             entries.append(_entry(target, len(entries), best[0], ns, best[1]))
 
 
-def _sweep(candidates: Iterable[tuple[int, ...]],
+def _sweep(target: TargetPoint, candidates: Iterable[tuple[int, ...]],
            comparator: _Comparator) -> list[MinimalPointEntry]:
     """The records among candidates, distinct canonical points."""
     heap = [(sum(v * v for v in c), c) for c in candidates]
     heapq.heapify(heap)
     entries: list[MinimalPointEntry] = []
-    _sweep_below(heap, math.inf, entries, comparator)
+    _sweep_below(target, heap, math.inf, entries, comparator)
     return entries
 
 
-def _record_bound(rsnap: list[tuple[int, int]], coords: tuple[int, ...]) -> int:
+def _record_bound(comparator: _Comparator, coords: tuple[int, ...]) -> int:
     """Upper bound of 2^64 max_k |x_k - (xi_k/xi_0) x_0| for the record,
-    from the dyadic ratio snapshot rsnap."""
+    from the comparator's ratio snapshot."""
     x0 = coords[0]
     worst = 0
-    for (rlo, rhi), xk in zip(rsnap, coords[1:]):
+    for (rlo, rhi), xk in zip(comparator.ratio_snap, coords[1:]):
         xkb = xk << _BASE_BITS
         worst = max(worst, abs(xkb - rlo * x0), abs(xkb - rhi * x0))
     return worst
 
 
-def _scan_entries(comparator: _Comparator, approx_set: ApproxSet,
+def _scan_entries(target: TargetPoint, comparator: _Comparator, approx_set: ApproxSet,
                   norm_sq_max: int, entries: list[MinimalPointEntry],
                   bound_sq: int) -> None:
     """Extend the start records, complete up to squared norm bound_sq, to
@@ -399,19 +423,18 @@ def _scan_entries(comparator: _Comparator, approx_set: ApproxSet,
     result) matches a single sweep of all members sorted by (norm,
     coordinates).
     """
-    rsnap = comparator.target.ratio_snapshot(_BASE_BITS)
-    (r_lo, r_hi), rest = rsnap[0], rsnap[1:]
-    zero = (0,) * (len(rsnap) + 1)
+    (r_lo, r_hi), *rest = comparator.ratio_snap
+    zero = (0,) * (comparator.n + 1)
     heap: list = []
     record = entries[-1]
-    rec_hi = _record_bound(rsnap, record.point.coords)
+    rec_hi = _record_bound(comparator, record.point.coords)
     neg_lo = hi = rec_hi
     for x0 in range(isqrt(norm_sq_max) + 1):
         if heap and heap[0][0] < x0 * x0:
-            _sweep_below(heap, x0 * x0, entries, comparator)
+            _sweep_below(target, heap, x0 * x0, entries, comparator)
             if entries[-1] is not record:
                 record = entries[-1]
-                rec_hi = _record_bound(rsnap, record.point.coords)
+                rec_hi = _record_bound(comparator, record.point.coords)
                 neg_lo, hi = rec_hi - r_lo * x0, r_hi * x0 + rec_hi
         if (hi >> _BASE_BITS) + (neg_lo >> _BASE_BITS) >= 0:
             windows = [(-(neg_lo >> _BASE_BITS), hi >> _BASE_BITS)]
@@ -428,7 +451,7 @@ def _scan_entries(comparator: _Comparator, approx_set: ApproxSet,
                         heapq.heappush(heap, (ns, c))
         neg_lo -= r_lo
         hi += r_hi
-    _sweep_below(heap, math.inf, entries, comparator)
+    _sweep_below(target, heap, math.inf, entries, comparator)
 
 
 def _validate_x_max(x_max) -> tuple[Fraction, int]:
@@ -466,8 +489,8 @@ def enumerate_minimal_points(target: TargetPoint, approx_set: ApproxSet,
         if bound_sq == norm_sq_max:
             raise EmptySet(f"no nonzero member of {approx_set!r} with norm <= {x_max}")
         r *= 2
-    entries = _sweep(ball, comparator)
-    _scan_entries(comparator, approx_set, norm_sq_max, entries, bound_sq)
+    entries = _sweep(target, ball, comparator)
+    _scan_entries(target, comparator, approx_set, norm_sq_max, entries, bound_sq)
     return MinimalPointSequence(target, approx_set, x_max, entries, norm_sq_max)
 
 
@@ -484,7 +507,7 @@ def brute_force_reference(target: TargetPoint, approx_set: ApproxSet,
              if approx_set.member(c)]
     if not cands:
         raise EmptySet(f"no nonzero member of {approx_set!r} with norm <= {x_max}")
-    entries = _sweep(cands, comparator)
+    entries = _sweep(target, cands, comparator)
     return MinimalPointSequence(target, approx_set, x_max, entries, norm_sq_max)
 
 
@@ -514,7 +537,7 @@ def _start_group(comparator: _Comparator, approx_set: ApproxSet,
 
 
 def _window_points(comparator: _Comparator, approx_set: ApproxSet, norm_sq_max: int,
-                   start_hi: int, cutoff) -> Iterable[tuple[int, tuple[int, ...], int]]:
+                   start_hi: int, prune: bool) -> Iterable[tuple[int, tuple[int, ...], int]]:
     """(norm_sq, coords, lower(coords)) for the members of S in the plain
     windows sized by the start point, whose 64-bit upper bound is start_hi.
 
@@ -522,10 +545,12 @@ def _window_points(comparator: _Comparator, approx_set: ApproxSet, norm_sq_max: 
     |x_k - (xi_k/xi_0) x_0| < L_start/|xi_0| <= margin - 1 for every k.  For
     each x_0 in [0, sqrt(norm_sq_max)] the window [floor(r_lo x_0) - margin,
     ceil(r_hi x_0) + margin] of each axis, with [r_lo, r_hi] enclosing
-    xi_k/xi_0, becomes one table of (v, v^2, d_k) (_Comparator.axis_table)
-    without the values whose d_k exceeds cutoff; the points are the products
-    of the tables within the norm bound, their squared norms sums and their
-    lower bounds maxima of table entries.  S is asked only member.
+    xi_k/xi_0, becomes one table of (v, v^2, d_k) (_Comparator.axis_table);
+    the points are the products of the tables within the norm bound, their
+    squared norms sums and their lower bounds maxima of table entries.  S is
+    asked only member.  With prune, the tables drop the values whose d_k
+    exceeds start_hi; without, their cutoff is an integer that bounds every
+    d_k of the scan, so every value stays.
 
     The scan never takes x_0 below 0, so no sign case arises: each axis
     keeps r_lo x_0, r_hi x_0 and x_0 [s_lo, s_hi] (the 2^64-scaled
@@ -533,15 +558,27 @@ def _window_points(comparator: _Comparator, approx_set: ApproxSet, norm_sq_max: 
     stepped once per x_0 by r_lo, r_hi, s_lo and s_hi.  The first axis
     starts the products, with lower's floor of 0.
     """
-    zlo = _abs_iv(*comparator._snap[0])[0]
+    snap, ratio_snap = comparator.snap, comparator.ratio_snap
+    zlo = _abs_iv(*snap[0])[0]
     if zlo <= 0:
         raise TieUnresolved("cannot bound |xi_0| away from zero for the window scan")
     margin = -(-start_hi // zlo) + 1
-    steps = [(rlo, rhi, *snap) for (rlo, rhi), snap in
-             zip(comparator.target.ratio_snapshot(_BASE_BITS), comparator._snap[1:])]
+    x0_max = isqrt(norm_sq_max)
+    if prune:
+        cutoff = start_hi
+    else:
+        # d(v) = max(v z_a - b_hi, b_lo - v z_b) <= |v| Z + x0_max S, with Z
+        # and S the largest |end| of xi_0's and of the xi_k's snapshots; a
+        # window end is floor or ceil of r x_0 / 2^64 moved by margin, so
+        # |v| <= (R x0_max >> 64) + margin + 1 with R the largest |r|
+        big = max(abs(v) for iv in ratio_snap for v in iv)
+        reach = (big * x0_max >> _BASE_BITS) + margin + 1
+        cutoff = (reach * max(map(abs, snap[0]))
+                  + x0_max * max(abs(v) for iv in snap[1:] for v in iv))
+    steps = [(rlo, rhi, *b) for (rlo, rhi), b in zip(ratio_snap, snap[1:])]
     axes = [(0, 0, 0, 0)] * len(steps)
     zero = (0,) * (comparator.n + 1)
-    for x0 in range(isqrt(norm_sq_max) + 1):
+    for x0 in range(x0_max + 1):
         x0_sq = x0 * x0
         for k, (rlo_x0, rhi_x0, blo, bhi) in enumerate(axes):
             table = comparator.axis_table(blo, bhi, (rlo_x0 >> _BASE_BITS) - margin,
@@ -563,11 +600,28 @@ def _window_points(comparator: _Comparator, approx_set: ApproxSet, norm_sq_max: 
                 for (rlo_x0, rhi_x0, blo, bhi), (rlo, rhi, slo, shi) in zip(axes, steps)]
 
 
+def _oracle_points(comparator: _Comparator, approx_set: ApproxSet, x_max: Fraction,
+                   norm_sq_max: int, prune: bool
+                   ) -> Iterable[tuple[int, tuple[int, ...], int]]:
+    """The candidate stream both oracles read: (norm_sq, coords,
+    lower(coords)) for the smallest-norm group of S (_start_group), in
+    order, then for the window points (_window_points) of every other norm.
+
+    The group holds every canonical member of S of its norm and the window
+    points are distinct canonical members of S, so the stream lists each
+    point once."""
+    ns0, group, start_hi = _start_group(comparator, approx_set, x_max, norm_sq_max)
+    for c in group:
+        yield ns0, c, comparator.lower(c)
+    for p in _window_points(comparator, approx_set, norm_sq_max, start_hi, prune):
+        if p[0] != ns0:
+            yield p
+
+
 def exhaustive_scan(target: TargetPoint, approx_set: ApproxSet,
                     x_max) -> MinimalPointSequence:
-    """Windowed exhaustive scan, for every kind of set S: the smallest-norm
-    group of S whole, then the points of the start point's plain windows
-    (_window_points), swept like the enumerator's candidates.
+    """Windowed exhaustive scan, for every kind of set S: the oracle stream
+    (_oracle_points), pruned, swept like the enumerator's candidates.
 
     Its windows are sized once by the start point, not by the enumerator's
     records, and S is asked only member; it shares _Comparator's lower
@@ -576,15 +630,13 @@ def exhaustive_scan(target: TargetPoint, approx_set: ApproxSet,
     as its table is built, before the product: every point through it has
     L >= lower > L_start >= the L of every record, so it can never become
     one (records after the start beat L_start, and the start's own group
-    is added whole).
+    is listed whole).
     """
     x_max, norm_sq_max = _validate_x_max(x_max)
     approx_set.check_ambient(target.n + 1)
     comparator = _Comparator(target)
-    ns0, group, start_hi = _start_group(comparator, approx_set, x_max, norm_sq_max)
-    # the window points are distinct, and those of norm ns0 are in the group
-    window = _window_points(comparator, approx_set, norm_sq_max, start_hi, start_hi)
-    entries = _sweep(group + [c for ns, c, _ in window if ns != ns0], comparator)
+    stream = _oracle_points(comparator, approx_set, x_max, norm_sq_max, prune=True)
+    entries = _sweep(target, [c for _, c, _ in stream], comparator)
     return MinimalPointSequence(target, approx_set, x_max, entries, norm_sq_max)
 
 
@@ -598,13 +650,14 @@ def envelope(seq: MinimalPointSequence, x) -> Union[RigorousReal, float]:
         raise BeyondCertifiedRange(
             f"envelope queried at {x}, certified only up to {seq.x_max}"
         )
-    return envelope_at_norm_sq(seq, x * x, _checked=False)
+    # entries have integer squared norms, so x^2 may be floored; x <= x_max
+    # keeps the floor within norm_sq_max
+    return envelope_at_norm_sq(seq, x.numerator ** 2 // x.denominator ** 2)
 
 
-def envelope_at_norm_sq(seq: MinimalPointSequence, norm_sq,
-                        _checked: bool = True) -> Union[RigorousReal, float]:
+def envelope_at_norm_sq(seq: MinimalPointSequence, norm_sq) -> Union[RigorousReal, float]:
     """Envelope at norm sqrt(norm_sq): exact boundary form for integer points."""
-    if _checked and norm_sq > seq.norm_sq_max:
+    if norm_sq > seq.norm_sq_max:
         raise BeyondCertifiedRange(
             f"envelope queried at squared norm {norm_sq}, certified only up to "
             f"{seq.norm_sq_max}"
@@ -636,7 +689,7 @@ def dirichlet_check(seq: MinimalPointSequence) -> DirichletReport:
     sup_val, sup_up, arg = -math.inf, -math.inf, None
     for i in range(len(seq.entries) - 1):
         e, nxt = seq.entries[i], seq.entries[i + 1]
-        li = rig_interval(e.l_value, 96)
+        li = rig_interval(e.l_value)
         xi = iv_pow(frac_enclosure(nxt.norm_sq), Fraction(1, 2 * n))
         v = xi * li
         vf = midpoint_float(v)
@@ -751,29 +804,26 @@ def verify_minimality(seq: MinimalPointSequence) -> int:
     """Property (c) and the start convention up to x_max; raises
     PropertyViolated.
 
-    The points checked are the smallest-norm group of S and every member of
-    S in the plain windows sized by the start point (_window_points, none
-    dropped), which provably contain every potential violator; S is asked
-    only member.  A violator z has norm < X_{i+1} and L(z) < L_i for some i;
-    since the L_i decrease, the binding comparison is against the first
-    entry whose successor norm exceeds z (the L values only get smaller
-    after it), and against the last entry for every z past it.  No member
-    of S may be shorter than the first entry, which must beat, or tie and
-    precede lexicographically, every member of its norm.  A point whose
-    certified lower bound exceeds every entry's 64-bit upper bound, or the
-    binding entry's, cannot be a violator (L(z) >= lower > L_i) and passes
-    without a comparison; compare decides every other.  Returns the number
-    of points checked below the last entry's norm, counting both kinds.
+    The points checked are the oracle stream (_oracle_points), unpruned:
+    the smallest-norm group of S and every member of S in the plain
+    windows sized by the start point, which provably contain every
+    potential violator; S is asked only member.  A violator z has norm <
+    X_{i+1} and L(z) < L_i for some i; since the L_i decrease, the binding
+    comparison is against the first entry whose successor norm exceeds z
+    (the L values only get smaller after it), and against the last entry
+    for every z past it.  No member of S may be shorter than the first
+    entry, which must beat, or tie and precede lexicographically, every
+    member of its norm.  A point whose certified lower bound exceeds every
+    entry's 64-bit upper bound, or the binding entry's, cannot be a
+    violator (L(z) >= lower > L_i) and passes without a comparison; compare
+    decides every other.  Returns the number of points checked below the
+    last entry's norm, counting both kinds.
     """
     comparator = _Comparator(seq.target)
     if not seq.entries:
         raise PropertyViolated("the sequence has no entries")
-    ns0, group, start_hi = _start_group(comparator, seq.approx_set,
-                                        seq.x_max, seq.norm_sq_max)
-    window = _window_points(comparator, seq.approx_set, seq.norm_sq_max, start_hi, math.inf)
-    in_group = set(group)
-    points = chain([(ns0, c, comparator.lower(c)) for c in group],
-                   (p for p in window if p[0] != ns0 or p[1] not in in_group))
+    points = _oracle_points(comparator, seq.approx_set, seq.x_max, seq.norm_sq_max,
+                            prune=False)
 
     first = seq.entries[0]
     last_ns = seq.entries[-1].norm_sq

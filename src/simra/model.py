@@ -7,14 +7,16 @@ the error of a nonzero integer point x against it is
 
 Approximation sets restrict which integer points compete: the full lattice,
 congruence conditions on individual coordinates, or an explicit sublattice.
+A target is a plain value; the scaled-integer view the enumerator compares
+with is built in minpoints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from . import rigorous, subspaces
 from .errors import AmbientMismatch, DomainError, SchemaError, ZeroPoint
@@ -76,16 +78,10 @@ class ApproxSet:
             axes.append(axis)
         yield from product(*axes)
 
-    def describe(self) -> dict:
-        raise NotImplementedError
-
 
 class FullLattice(ApproxSet):
     def member(self, coords: Sequence[int]) -> bool:
         return True
-
-    def describe(self) -> dict:
-        return {"type": "full"}
 
     def __repr__(self):
         return "FullLattice()"
@@ -113,13 +109,6 @@ class CongruenceSet(ApproxSet):
         for k in self.residues:
             if not 0 <= k < dim:
                 raise DomainError(f"residue index {k} of {self!r} is outside 0..{dim - 1}")
-
-    def describe(self) -> dict:
-        return {
-            "type": "congruence",
-            "modulus": self.modulus,
-            "residues": {str(k): sorted(v) for k, v in sorted(self.residues.items())},
-        }
 
     def __repr__(self):
         return f"CongruenceSet(mod {self.modulus}, {dict(self.residues)})"
@@ -200,21 +189,21 @@ class Sublattice(ApproxSet):
 
         yield from walk(0, [0] * len(box), 0)
 
-    def describe(self) -> dict:
-        return {"type": "sublattice", "basis": [list(v) for v in self.basis]}
-
     def __repr__(self):
         return f"Sublattice({[list(v) for v in self.basis]})"
 
 
 class TargetPoint:
-    """A certified-real target (xi_0, ..., xi_n), xi_0 != 0.
+    """A certified-real target (xi_0, ..., xi_n), xi_0 != 0: a plain value,
+    whose slots hold only coords and n.
 
     Linear independence of the coordinates over Q is asserted by the caller,
     not verified; enumeration detects violations opportunistically.
     """
 
-    def __init__(self, coords: Sequence[RigorousReal], description: Optional[dict] = None):
+    __slots__ = ("coords", "n")
+
+    def __init__(self, coords: Sequence[RigorousReal]):
         coords = tuple(coords)
         if len(coords) < 2:
             raise DomainError("a target needs at least two coordinates")
@@ -222,40 +211,6 @@ class TargetPoint:
             raise DomainError("xi_0 must be certified nonzero")
         self.coords = coords
         self.n = len(coords) - 1
-        self.description = description or {}
-        self._ratio_cache: dict[int, RigorousReal] = {}
-        self._snapshots: dict[int, list[tuple[int, int]]] = {}
-
-    def ratio(self, k: int) -> RigorousReal:
-        """Enclosure of xi_k / xi_0."""
-        if k not in self._ratio_cache:
-            self._ratio_cache[k] = self.coords[k] / self.coords[0]
-        return self._ratio_cache[k]
-
-    def saturation_flags(self) -> tuple[bool, ...]:
-        """Per coordinate: True when the enclosure cannot shrink further."""
-        return tuple(c.saturated for c in self.coords)
-
-    def exact_values(self) -> tuple[Optional[Fraction], ...]:
-        """Per coordinate: the exact rational value, or None when irrational/unknown."""
-        return tuple(c.lo if c.is_exact else None for c in self.coords)
-
-    def snapshot(self, bits: int) -> list[tuple[int, int]]:
-        """Integer bounds [lo, hi]/2^bits for every coordinate, cached."""
-        snap = self._snapshots.get(bits)
-        if snap is None:
-            snap = [rigorous.dyadic_bounds(c, bits) for c in self.coords]
-            self._snapshots[bits] = snap
-        return snap
-
-    def ratio_snapshot(self, bits: int) -> list[tuple[int, int]]:
-        key = -bits  # separate cache namespace from coordinate snapshots
-        snap = self._snapshots.get(key)
-        if snap is None:
-            snap = [rigorous.dyadic_bounds(self.ratio(k), bits)
-                    for k in range(1, self.n + 1)]
-            self._snapshots[key] = snap
-        return snap
 
     def __repr__(self):
         return f"TargetPoint(n={self.n}, ~{[float(c) for c in self.coords]})"
@@ -403,4 +358,4 @@ def load_target(doc: dict) -> tuple[TargetPoint, ApproxSet]:
         approx.check_ambient(len(coords))
     except DomainError as e:
         raise SchemaError(str(e)) from None
-    return TargetPoint(coords, description=doc), approx
+    return TargetPoint(coords), approx

@@ -107,10 +107,11 @@ def frontier(lambda_hat, n: int, tol: Fraction = Fraction(1, 10 ** 14)):
     return Fraction((base << k) + step * (2 * a + 1), scale << k)
 
 
-def lambda_rows(n_lo: int = 2, n_hi: int = 10) -> list[tuple[int, RigorousReal]]:
-    if not 2 <= n_lo <= n_hi:
-        raise DomainError("need 2 <= n_lo <= n_hi")
-    return [(n, lambda_n(n)) for n in range(n_lo, n_hi + 1)]
+def lambda_rows(n_hi: int = 10) -> list[tuple[int, RigorousReal]]:
+    """(n, lambda_n) for n = 2 ... n_hi."""
+    if n_hi < 2:
+        raise DomainError("need n_hi >= 2")
+    return [(n, lambda_n(n)) for n in range(2, n_hi + 1)]
 
 
 def frontier_rows(n: int, grid_count: int = 101) -> list[tuple[Fraction, object]]:
@@ -125,9 +126,9 @@ def frontier_rows(n: int, grid_count: int = 101) -> list[tuple[Fraction, object]
     return out
 
 
-def write_lambda_csv(fileobj: TextIO, n_lo: int = 2, n_hi: int = 10) -> None:
+def write_lambda_csv(fileobj: TextIO, n_hi: int = 10) -> None:
     fileobj.write("n,lambda_n\n")
-    for n, root in lambda_rows(n_lo, n_hi):
+    for n, root in lambda_rows(n_hi):
         lo, hi, _ = rigorous.enclosure(root, 64)
         mid = float((lo + hi) / 2)
         fileobj.write(f"{n},{reporting.format_significant(mid)}\n")

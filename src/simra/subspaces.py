@@ -316,15 +316,15 @@ def schmidt_ratio(a: RationalSubspace, b: RationalSubspace) -> dict:
     }
 
 
-def schmidt_fuzz(max_ambient: int = 5, count: int = 1000, seed: int = 1,
-                 keep_samples: int = 5) -> dict:
+def schmidt_fuzz(max_ambient: int = 5, count: int = 1000, seed: int = 1) -> dict:
     """Randomized stress of the height product inequality and height duality.
 
     Draws count pairs of random saturated subspaces (ambient dimension 2 to
     max_ambient, small integer spanning vectors), records the largest exact
     ratioSq = H(A+B)^2 H(A cap B)^2 / (H(A)^2 H(B)^2) seen, and checks
     H(W)^2 = H(W perp)^2 exactly for the two random subspaces A and B of each
-    pair (not for their sum or intersection).  Deterministic in the seed.
+    pair (not for their sum or intersection).  The report keeps the first
+    five pairs as samples.  Deterministic in the seed.
     """
     import random
 
@@ -367,7 +367,7 @@ def schmidt_fuzz(max_ambient: int = 5, count: int = 1000, seed: int = 1,
                           "basisA": [list(v) for v in a.basis],
                           "basisB": [list(v) for v in b.basis],
                           "ratioSq": str(worst)}
-        if len(samples) < keep_samples:
+        if len(samples) < 5:
             samples.append({"ambient": ambient, "dimA": a.dim, "dimB": b.dim,
                             "ratioSq": str(r["ratioSq"])})
     return {

@@ -32,12 +32,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import minpoints, model
 from .construction import jump_indices
-from .errors import (DomainError, DomainTooShort, SandwichViolated,
-                     TooFewPoints)
+from .errors import (BeyondCertifiedRange, DomainError, DomainTooShort,
+                     SandwichViolated, TooFewPoints)
 from .ivcalc import (enclose, endpoints_fraction, frac_enclosure, hull,
                      iv_log, iv_pow, lower, midpoint_float, rig_interval,
                      upper)
@@ -125,18 +125,13 @@ def epsilon_delta(a, b, alpha, beta, n: int) -> dict:
 
     Returns eps = 1 - sum alpha^(k+1)/beta^k (exact), the full eps_k ladder,
     delta = the exponent of a/b in the top constant, and enclosures of the
-    constants c_k = a^(k+1) (a/b)^(delta_k).
-
-    alpha and beta may be RigorousReal enclosures (algebraic exponents); the
-    eps/delta ladders then come back as enclosures and the constants, which
-    would need real exponents, are omitted.
+    constants c_k = a^(k+1) (a/b)^(delta_k).  Every parameter is a positive
+    rational.
     """
-    exact = not (isinstance(alpha, RigorousReal) or isinstance(beta, RigorousReal))
-    if exact:
-        a, b = _frac(a, "a"), _frac(b, "b")
-        alpha, beta = _frac(alpha, "alpha"), _frac(beta, "beta")
-        if min(a, b, alpha, beta) <= 0:
-            raise DomainError("a, b, alpha, beta must all be positive")
+    a, b = _frac(a, "a"), _frac(b, "b")
+    alpha, beta = _frac(alpha, "alpha"), _frac(beta, "beta")
+    if min(a, b, alpha, beta) <= 0:
+        raise DomainError("a, b, alpha, beta must all be positive")
     _check_n(n)
     r = alpha / beta
     eps_k: list = []
@@ -154,16 +149,13 @@ def epsilon_delta(a, b, alpha, beta, n: int) -> dict:
             inner = inner + rk
             delta_acc = delta_acc + inner
         delta_k.append(delta_acc)
-    c_k = None
-    if exact:
-        c_k = [iv_pow(frac_enclosure(a), k + 1) * iv_pow(frac_enclosure(a / b), d)
-               for k, d in enumerate(delta_k)]
     return {
         "eps": eps_k[-1],
         "delta": delta_k[-1],
         "epsK": eps_k,
         "deltaK": delta_k,
-        "cK": c_k,
+        "cK": [iv_pow(frac_enclosure(a), k + 1) * iv_pow(frac_enclosure(a / b), d)
+               for k, d in enumerate(delta_k)],
     }
 
 
@@ -201,11 +193,6 @@ class TransferenceProfile:
             object.__setattr__(self, name, value)
         if self.alpha > self.beta:
             raise DomainError("profile needs alpha <= beta")
-
-    @classmethod
-    def power(cls, n: int, a, b, alpha, beta, domain_start=2
-              ) -> "TransferenceProfile":
-        return cls(n, a, b, alpha, beta, domain_start)
 
     @cached_property
     def closed_form(self) -> dict:
@@ -584,19 +571,20 @@ def growth_conditions(pairs: Sequence[tuple], alpha, beta, eps, big_c,
     return out
 
 
-def verify_extremal_sequence(points: Sequence, target: model.TargetPoint,
-                             approx_set: model.ApproxSet, alpha, beta, eps,
-                             big_c, seq: Optional[minpoints.MinimalPointSequence] = None
-                             ) -> dict:
-    """The four structural conditions on a candidate extremal sequence.
+def verify_extremal_sequence(points: Sequence, seq: minpoints.MinimalPointSequence,
+                             alpha, beta, eps, big_c) -> dict:
+    """The four structural conditions on a candidate extremal sequence of
+    seq's target and set S.
 
     Growth and decay come from growth_conditions on the measured (norm,
     error) pairs; independence is the exact nonvanishing of each consecutive
     (n+1)-point determinant; envelope agreement asks that no smaller point
-    beats each candidate, decided against the enumerated minimal points.
+    beats each candidate, decided against seq's minimal points, which must
+    cover the norm of every candidate (BeyondCertifiedRange otherwise).
     """
     from .subspaces import _int_det
 
+    target, approx_set = seq.target, seq.approx_set
     n = target.n
     pts = [model.IntegerPoint.canonical(p if not isinstance(p, model.IntegerPoint)
                                         else p.coords) for p in points]
@@ -604,6 +592,10 @@ def verify_extremal_sequence(points: Sequence, target: model.TargetPoint,
         raise TooFewPoints(
             f"need at least n+1 = {n + 1} points, got {len(pts)}"
         )
+    beyond = [p.coords for p in pts if p.norm_sq > seq.norm_sq_max]
+    if beyond:
+        raise BeyondCertifiedRange(
+            f"candidate {beyond[0]} lies beyond the sequence's x_max = {seq.x_max}")
     alpha, beta = _frac(alpha, "alpha"), _frac(beta, "beta")
     eps, big_c = _frac(eps, "eps"), _frac(big_c, "C")
     threshold = eps_threshold(alpha, beta, n)
@@ -616,10 +608,6 @@ def verify_extremal_sequence(points: Sequence, target: model.TargetPoint,
         d = _int_det([list(pts[i + j].coords) for j in range(n + 1)])
         dets.append({"i": i, "det": d, "pass": d != 0})
 
-    if seq is None:
-        x_max = max(p.norm_sq for p in pts)
-        seq = minpoints.enumerate_minimal_points(
-            target, approx_set, Fraction(math.isqrt(x_max) + 1))
     comparator = minpoints._Comparator(target)
     envelope_rows = []
     for idx, p in enumerate(pts):

@@ -70,14 +70,20 @@ def test_criterion_02_lambda2_golden():
 
 
 def test_criterion_03_equality_case():
+    # eps decreases in alpha and vanishes at lambda_n, so it changes sign
+    # across the rational ends of lambda_n's enclosure
     worst_mm = worst_eps = 0.0
+    brackets = True
     for n in range(2, 7):
         root = spectra.lambda_n(n)
         beta = Fraction(1, n - 1)
         worst_mm = max(worst_mm, abs(float(mm_lhs(root, beta, n)) - 1))
-        ed = epsilon_delta(1, 1, root, beta, n)
-        worst_eps = max(worst_eps, abs(float(ed["eps"])))
-    ok = worst_mm < 1e-10 and worst_eps < 1e-10
+        lo, hi, _ = rigorous.enclosure(root, 64)
+        eps_lo = epsilon_delta(1, 1, lo, beta, n)["eps"]
+        eps_hi = epsilon_delta(1, 1, hi, beta, n)["eps"]
+        brackets = brackets and eps_lo >= 0 >= eps_hi
+        worst_eps = max(worst_eps, abs(float(eps_lo)), abs(float(eps_hi)))
+    ok = worst_mm < 1e-10 and worst_eps < 1e-10 and brackets
     report(3, ok, f"n=2..6 worst |mm - 1| = {worst_mm:.2e}, "
                   f"worst |eps| = {worst_eps:.2e}")
 
@@ -137,7 +143,7 @@ def test_criterion_06_closed_form_identity():
         beta = alpha + Fraction(rng.randint(0, 9), 10)
         a = Fraction(rng.randint(1, 50), rng.randint(1, 11))
         b = Fraction(rng.randint(1, 50), rng.randint(1, 11))
-        prof = TransferenceProfile.power(n, a, b, alpha, beta)
+        prof = TransferenceProfile(n, a, b, alpha, beta)
         k = rng.randint(0, n - 1)
         for j in range(100):
             x = Fraction(2) + Fraction(j * 997, 10)
@@ -195,8 +201,8 @@ def test_criterion_10_extremal_fixtures():
 
     target, approx = presets.load_preset("cbrt2")
     degenerate = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0)]
-    rep = verify_extremal_sequence(degenerate, target, approx,
-                                   alpha=Fraction(1, 2), beta=1,
+    seq = minpoints.enumerate_minimal_points(target, approx, 3)
+    rep = verify_extremal_sequence(degenerate, seq, alpha=Fraction(1, 2), beta=1,
                                    eps=0, big_c=10)
     dets = [d["det"] for d in rep["determinants"]]
     degenerate_ok = dets == [0, 0] and not rep["allPass"]

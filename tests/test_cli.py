@@ -1,5 +1,7 @@
 """The batch tool: determinism, manifests, error JSON, every subcommand."""
 
+import argparse
+import gc
 import hashlib
 import json
 import os
@@ -219,6 +221,20 @@ def test_lambda_n_prints_value(capsys):
     code, out = run_cli(capsys, "lambda-n", "--n", "2")
     assert code == 0
     assert out.strip().startswith("0.618033988749")
+
+
+def test_main_collects_its_parser(capsys):
+    # the parser's reference cycles are freed before the command runs, not
+    # left for the collector (paused here) to find later
+    gc.collect()
+    gc.disable()
+    try:
+        code, _ = run_cli(capsys, "lambda-n", "--n", "2")
+        left = [o for o in gc.get_objects()
+                if isinstance(o, argparse.ArgumentParser) and o.prog.startswith("simra")]
+    finally:
+        gc.enable()
+    assert code == 0 and left == []
 
 
 def test_lambda_n_csv(tmp_path, capsys):

@@ -422,7 +422,39 @@ def test_sweep_tie_names_the_record(monkeypatch):
     record = (2, 3, 2)
     entries = [minpoints._entry(target, 0, record, 17, comparator.keys(record))]
     with pytest.raises(TieUnresolved, match=re.escape("(2, 2, 3) and (2, 3, 2)")):
-        minpoints._sweep_below([(17, (2, 2, 3))], math.inf, entries, comparator)
+        minpoints._sweep_below(target, [(17, (2, 2, 3))], math.inf, entries, comparator)
+
+
+def test_comparator_escalation_snapshots_are_computed_once_per_bit_count(monkeypatch):
+    # the 64-bit view is built with the comparator; a comparison that
+    # escalates asks for 128 and 256 bits, each computed once and kept
+    monkeypatch.setenv("SIMRA_PRECISION_CAP", "256")
+    target = _two_handle_target()
+    comparator = minpoints._Comparator(target)
+    real, bits_asked = rigorous.dyadic_bounds, []
+    monkeypatch.setattr(rigorous, "dyadic_bounds",
+                        lambda x, bits: bits_asked.append(bits) or real(x, bits))
+    a, b = (2, 3, 2), (2, 2, 3)
+    with pytest.raises(TieUnresolved, match="at 256 bits"):
+        comparator.compare(comparator.keys(a), comparator.keys(b), a, b)
+    assert bits_asked == [128] * 3 + [256] * 3
+    snap = comparator.snapshot(128)
+    assert bits_asked == [128] * 3 + [256] * 3
+    for (lo, hi), c in zip(snap, target.coords):
+        c_lo, c_hi, _ = rigorous.enclosure(c, 256)
+        assert Fraction(lo, 2 ** 128) <= c_lo <= c_hi <= Fraction(hi, 2 ** 128)
+
+
+def test_comparator_exact_values():
+    rat, _ = model.load_target({"n": 1, "coords": [{"type": "rational", "value": "2"},
+                                                   {"type": "rational", "value": "3/7"}]})
+    comparator = minpoints._Comparator(rat)
+    assert comparator.exact == (Fraction(2), Fraction(3, 7))
+    assert comparator.sat == (True, True)
+    # both coordinates exact: the branch key is the value |2 x_1 - 3/7 x_0|
+    assert comparator.keys((7, 2)) == (("q", Fraction(1)),)
+    target, _ = presets.load_preset("sqrt2")
+    assert minpoints._Comparator(target).exact == (Fraction(1), None)
 
 
 LOWER_BOUND_TARGETS = pytest.mark.parametrize("target", [
@@ -509,7 +541,7 @@ def test_axis_tables_agree_with_the_lower_bound(target):
     for c in _seeded_points(target, random.Random(13)):
         tables = []
         for k in range(1, len(c)):
-            b_lo, b_hi = minpoints._scaled(c[0], *comparator._snap[k])
+            b_lo, b_hi = minpoints._scaled(c[0], *comparator.snap[k])
             tables.append(comparator.axis_table(b_lo, b_hi, c[k] - 3, c[k] + 3, math.inf))
             crossing += abs(c[k]) <= 3
         assert [[t[:2] for t in table] for table in tables] == \
@@ -561,10 +593,49 @@ def test_window_pruning_drops_exactly_the_points_above_the_cutoff(preset):
     target, approx = presets.load_preset(preset)
     comparator = minpoints._Comparator(target)
     _, _, start_hi = minpoints._start_group(comparator, approx, 300, 300 ** 2)
-    full = list(minpoints._window_points(comparator, approx, 300 ** 2, start_hi, math.inf))
-    pruned = list(minpoints._window_points(comparator, approx, 300 ** 2, start_hi, start_hi))
+    full = list(minpoints._window_points(comparator, approx, 300 ** 2, start_hi, False))
+    pruned = list(minpoints._window_points(comparator, approx, 300 ** 2, start_hi, True))
     assert pruned == [p for p in full if p[2] <= start_hi]
     assert any(p[2] == start_hi for p in pruned) and len(pruned) < len(full) / 2
+
+
+@pytest.mark.parametrize("doc", [presets.preset_config("sqrt2"),
+                                 presets.preset_config("sqrt2-even-x0"),
+                                 presets.preset_config("cbrt2"), SUBLATTICE_DOC],
+                         ids=["sqrt2", "sqrt2-even-x0", "cbrt2", "sublattice"])
+def test_oracle_stream_lists_the_group_then_each_other_point_once(doc):
+    # the group holds every canonical member of S of its norm, so dropping
+    # the window points of that norm drops exactly those already listed
+    target, approx = model.load_target(doc)
+    comparator = minpoints._Comparator(target)
+    ns0, group, start_hi = minpoints._start_group(comparator, approx, 300, 300 ** 2)
+    window = list(minpoints._window_points(comparator, approx, 300 ** 2, start_hi, False))
+    stream = list(minpoints._oracle_points(comparator, approx, 300, 300 ** 2, False))
+    assert stream == ([(ns0, c, comparator.lower(c)) for c in group]
+                      + [p for p in window if p[0] != ns0 or p[1] not in group])
+    coords = [c for _, c, _ in stream]
+    assert len(set(coords)) == len(coords)
+
+
+def test_verify_minimality_tables_take_an_int_cutoff(monkeypatch):
+    # the unpruned tables keep every window value under an integer cutoff,
+    # xi_0 < 0 included
+    real, cutoffs = minpoints._Comparator.axis_table, []
+
+    def spy(self, b_lo, b_hi, lo, hi, cutoff):
+        cutoffs.append(cutoff)
+        table = real(self, b_lo, b_hi, lo, hi, cutoff)
+        assert len(table) == max(0, hi - lo + 1)
+        return table
+
+    sqrt2_seq = enumerate_minimal_points(*presets.load_preset("sqrt2"), 2000)
+    negative = model.TargetPoint([-sqrt(3), rational(1),
+                                  rigorous.algebraic_root([-2, 0, 0, 1], (1, 2))])
+    negative_seq = enumerate_minimal_points(negative, model.FullLattice(), 20)
+    monkeypatch.setattr(minpoints._Comparator, "axis_table", spy)
+    assert verify_minimality(sqrt2_seq) == 5908
+    assert verify_minimality(negative_seq) > 0
+    assert cutoffs and all(type(c) is int for c in cutoffs)
 
 
 def test_entries_are_built_without_enclosing(cubic, compute_calls):

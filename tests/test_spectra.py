@@ -43,7 +43,7 @@ def test_lambda_n_defining_identity():
 
 
 def test_lambda_n_decreasing():
-    vals = [float(r) for _, r in lambda_rows(2, 10)]
+    vals = [float(r) for _, r in lambda_rows(10)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert 0 < vals[-1] < vals[0] < 1
 
@@ -164,7 +164,7 @@ def test_frontier_csv_bytes_pinned(n):
 
 def test_lambda_csv():
     buf = io.StringIO()
-    write_lambda_csv(buf, 2, 5)
+    write_lambda_csv(buf, 5)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "n,lambda_n"
     assert len(lines) == 5

@@ -8,6 +8,7 @@ import pytest
 
 from simra import minpoints, model, presets, rigorous, spectra, transference
 from simra.errors import (
+    BeyondCertifiedRange,
     DomainError,
     DomainTooShort,
     InsufficientData,
@@ -143,33 +144,31 @@ def test_epsilon_matches_mm_identity_random():
             assert e_k == 1 - mm_lhs(alpha, beta, k + 1)
 
 
-def test_epsilon_delta_algebraic_exponents():
-    lam3 = spectra.lambda_n(3)
-    ed = epsilon_delta(1, 1, lam3, Fraction(1, 2), 3)
-    # equality case: the defect vanishes
-    assert abs(float(ed["eps"])) < 1e-25
-    assert ed["cK"] is None
-    assert len(ed["epsK"]) == 3
+def test_epsilon_delta_refuses_algebraic_exponents():
+    # the exponents are rationals; an algebraic one is bracketed by rationals
+    # instead (acceptance criterion 03)
+    with pytest.raises(DomainError, match="alpha must be rational"):
+        epsilon_delta(1, 1, spectra.lambda_n(3), Fraction(1, 2), 3)
 
 
 # -- profiles and products ----------------------------------------------------
 
 def test_profile_validation():
     with pytest.raises(DomainError):
-        TransferenceProfile.power(2, 1, 1, 1, Fraction(1, 2))  # alpha > beta
+        TransferenceProfile(2, 1, 1, 1, Fraction(1, 2))  # alpha > beta
     with pytest.raises(DomainError):
-        TransferenceProfile.power(0, 1, 1, 1, 1)
+        TransferenceProfile(0, 1, 1, 1, 1)
     with pytest.raises(DomainError):
-        TransferenceProfile.power(2, -1, 1, 1, 1)
+        TransferenceProfile(2, -1, 1, 1, 1)
     for start in (-1, 0):
         with pytest.raises(DomainError, match="domain_start must be positive"):
-            TransferenceProfile.power(1, 2, Fraction(1, 4), 1, 1, domain_start=start)
+            TransferenceProfile(1, 2, Fraction(1, 4), 1, 1, domain_start=start)
 
 
 # every entry point that takes the dimension n refuses a non-int (a bool
 # included) with DomainError, and keeps its own message for n < 1
 N_ENTRY_POINTS = [
-    ("profile", lambda n: TransferenceProfile.power(n, 1, 1, Fraction(1, 2), 1),
+    ("profile", lambda n: TransferenceProfile(n, 1, 1, Fraction(1, 2), 1),
      "profile needs n >= 1"),
     ("epsilon_delta", lambda n: epsilon_delta(1, 1, Fraction(1, 2), 1, n),
      "n must be >= 1"),
@@ -193,7 +192,7 @@ def test_n_must_be_an_int_at_least_one(build, below):
 
 
 def test_profile_functions_refuse_x_at_or_below_zero():
-    p = TransferenceProfile.power(2, 1, 1, Fraction(1, 3), Fraction(1, 2))
+    p = TransferenceProfile(2, 1, 1, Fraction(1, 3), Fraction(1, 2))
     for f in (p.phi, p.psi, p.theta):
         # an enclosure reaching down to 0 is refused too
         for x in (0, -5, Fraction(-1, 3), frac_interval(-1, 1), frac_interval(0, 1)):
@@ -203,7 +202,7 @@ def test_profile_functions_refuse_x_at_or_below_zero():
 
 
 def test_phi_psi_theta_power():
-    p = TransferenceProfile.power(2, 1, 1, Fraction(1, 2), 1)
+    p = TransferenceProfile(2, 1, 1, Fraction(1, 2), 1)
     assert midpoint_float(p.phi(4)) == pytest.approx(0.5, abs=1e-14)
     assert midpoint_float(p.psi(4)) == pytest.approx(0.25, abs=1e-14)
     # phi = psi o theta certified at sample points
@@ -214,13 +213,13 @@ def test_phi_psi_theta_power():
     # built directly from ints, the exponent alpha/beta = 1/3 stays exact,
     # so the enclosure of theta(8) = 2 holds 2
     q = TransferenceProfile(n=1, a=1, b=1, alpha=1, beta=3)
-    assert q == TransferenceProfile.power(1, 1, 1, 1, 3)
+    assert q == TransferenceProfile(1, 1, 1, 1, 3)
     lo, hi = endpoints_fraction(q.theta(8))
     assert lo <= 2 <= hi
 
 
 def test_phi_functions_worked_values():
-    p = TransferenceProfile.power(2, 1, 1, Fraction(1, 2), 1)
+    p = TransferenceProfile(2, 1, 1, Fraction(1, 2), 1)
     out0 = phi_functions(p, 0, 4)
     assert midpoint_float(out0["PhiK"]) == pytest.approx(2.0, abs=1e-13)
     out1 = phi_functions(p, 1, 16)
@@ -235,7 +234,7 @@ def test_phi_functions_worked_values():
 
 def test_identity_theta_powers_phi():
     # a = b = 1, alpha = beta: theta = id, so phi_k = phi^(k+1)
-    p = TransferenceProfile.power(3, 1, 1, Fraction(2, 3), Fraction(2, 3))
+    p = TransferenceProfile(3, 1, 1, Fraction(2, 3), Fraction(2, 3))
     for k in range(3):
         for x in (2, 5, 40):
             got = midpoint_float(phi_functions(p, k, x)["phiK"])
@@ -251,7 +250,7 @@ def test_iterated_vs_closed_random_profiles():
         beta = alpha + Fraction(rng.randint(0, 9), 10)
         a = Fraction(rng.randint(1, 40), rng.randint(1, 13))
         b = Fraction(rng.randint(1, 40), rng.randint(1, 13))
-        p = TransferenceProfile.power(n, a, b, alpha, beta)
+        p = TransferenceProfile(n, a, b, alpha, beta)
         k = rng.randint(0, n - 1)
         for x in (Fraction(3), Fraction(17, 2), Fraction(1200)):
             out = phi_functions(p, k, x)  # raises on certified disagreement
@@ -295,7 +294,7 @@ def test_exponents_sqrt2(sqrt2_seq_1e5):
 # -- sandwich and product-chain checks ----------------------------------------
 
 def sqrt2_profile():
-    return TransferenceProfile.power(1, 2, Fraction(1, 4), 1, 1)
+    return TransferenceProfile(1, 2, Fraction(1, 4), 1, 1)
 
 
 def test_check_sandwich_sqrt2(sqrt2_seq_1e5):
@@ -317,7 +316,7 @@ def test_check_sandwich_rejects_a_short_grid(sqrt2_seq_30, grid_count):
 
 def test_check_sandwich_violation(sqrt2_seq_1e5):
     # a = 1 pinches phi below the envelope near X ~ 3
-    bad = TransferenceProfile.power(1, 1, Fraction(1, 4), 1, 1)
+    bad = TransferenceProfile(1, 1, Fraction(1, 4), 1, 1)
     with pytest.raises(SandwichViolated) as exc:
         check_sandwich(sqrt2_seq_1e5, bad)
     assert exc.value.witness is not None
@@ -330,12 +329,12 @@ def test_check_sandwich_catches_violation_between_grid_points(sqrt2_seq_1e5):
     # the step starts below the domain start 2
     a = rigorous.refine((rigorous.sqrt(2) - 1) * rigorous.sqrt(13)
                         * (1 - Fraction(1, 10 ** 6)), 64).midpoint
-    p = TransferenceProfile.power(1, a, Fraction(1, 4), 1, 1)
+    p = TransferenceProfile(1, a, Fraction(1, 4), 1, 1)
     with pytest.raises(SandwichViolated, match="L_1 is certifiably above phi") as exc:
         check_sandwich(sqrt2_seq_1e5, p)
     assert exc.value.witness is sqrt2_seq_1e5.entries[2].x_value
     # below psi at the domain start: b = 1 gives psi(2) = 1/2 > L_1
-    p = TransferenceProfile.power(1, 2, 1, 1, 1)
+    p = TransferenceProfile(1, 2, 1, 1, 1)
     with pytest.raises(SandwichViolated, match="L_1 is certifiably below psi") as exc:
         check_sandwich(sqrt2_seq_1e5, p)
     assert exc.value.witness == 2
@@ -343,14 +342,14 @@ def test_check_sandwich_catches_violation_between_grid_points(sqrt2_seq_1e5):
 
 def test_profile_dimension_must_match_the_target(sqrt2_seq_1e5, cubic_seq_1e4):
     with pytest.raises(DomainError, match="profile for n=3 on a target with n=1"):
-        check_sandwich(sqrt2_seq_1e5, TransferenceProfile.power(3, 2, Fraction(1, 4), 1, 1))
-    p = TransferenceProfile.power(3, 3, Fraction(1, 8), Fraction(2, 5), Fraction(3, 5))
+        check_sandwich(sqrt2_seq_1e5, TransferenceProfile(3, 2, Fraction(1, 4), 1, 1))
+    p = TransferenceProfile(3, 3, Fraction(1, 8), Fraction(2, 5), Fraction(3, 5))
     with pytest.raises(DomainError, match="profile for n=3 on a target with n=2"):
         lemma41_check(cubic_seq_1e4, [0, 1, 2], p)
 
 
 def test_check_sandwich_domain_too_short(sqrt2_seq_30):
-    p = TransferenceProfile.power(1, 2, Fraction(1, 4), 1, 1, domain_start=20)
+    p = TransferenceProfile(1, 2, Fraction(1, 4), 1, 1, domain_start=20)
     with pytest.raises(DomainTooShort):
         check_sandwich(sqrt2_seq_30, p)
 
@@ -364,7 +363,7 @@ def cubic_profile(seq):
                for e, e2 in zip(seq.entries, seq.entries[1:]))
     b_lo = min(float(e.l_value) * float(e.x_value) ** float(beta)
                for e in seq.entries if e.norm_sq > 1)
-    return TransferenceProfile.power(
+    return TransferenceProfile(
         2, Fraction(a_hi).limit_denominator(10 ** 6) * Fraction(11, 10),
         Fraction(b_lo).limit_denominator(10 ** 6) * Fraction(9, 10),
         alpha, beta)
@@ -426,7 +425,7 @@ def reference_lemma41_check(seq, indices, profile):
 
 def random_power_profiles(rng, n, count):
     """Loose power profiles: a large, b small, alpha below 1/2 < beta."""
-    return [TransferenceProfile.power(
+    return [TransferenceProfile(
         n, Fraction(rng.randint(20, 400), 10), Fraction(1, rng.randint(20, 40)),
         Fraction(rng.randint(1, 9), 20), Fraction(rng.randint(6, 12), 10),
         domain_start=rng.choice((1, 2, Fraction(5, 2), 20)))
@@ -536,7 +535,7 @@ def test_check_sandwich_builds_one_phi_chain_per_sample_point(monkeypatch, cubic
 
 
 def test_lemma41_validates_the_jump_indices(cubic_seq_1e4):
-    p = TransferenceProfile.power(2, 1, 1, "1/2", 1)
+    p = TransferenceProfile(2, 1, 1, "1/2", 1)
     assert len(cubic_seq_1e4) == 11
     with pytest.raises(InsufficientData, match="needs entry 12, sequence has 11"):
         lemma41_check(cubic_seq_1e4, [10, 11], p)
@@ -580,38 +579,41 @@ def test_growth_conditions_interval_path():
         assert r["decay"] == "pass"
 
 
-def test_verify_extremal_sqrt2(sqrt2, sqrt2_seq_1e5):
-    target, approx = sqrt2
-    rep = verify_extremal_sequence(
-        sqrt2_seq_1e5.points(), target, approx,
-        alpha=1, beta=1, eps=0, big_c=1, seq=sqrt2_seq_1e5)
+def test_verify_extremal_sqrt2(sqrt2_seq_1e5):
+    rep = verify_extremal_sequence(sqrt2_seq_1e5.points(), sqrt2_seq_1e5,
+                                   alpha=1, beta=1, eps=0, big_c=1)
     assert rep["allPass"], rep
     assert rep["thresholdOK"]  # eps = 0 <= threshold 0 at alpha = beta
     dets = [d["det"] for d in rep["determinants"]]
     assert all(abs(d) == 1 for d in dets)  # consecutive convergents
 
 
-def test_verify_extremal_rank_degenerate(cubic):
-    target, approx = cubic
+def test_verify_extremal_rank_degenerate(cubic_seq_1e4):
     pts = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0)]
-    rep = verify_extremal_sequence(pts, target, approx,
+    rep = verify_extremal_sequence(pts, cubic_seq_1e4,
                                    alpha=Fraction(1, 2), beta=1,
                                    eps=0, big_c=10)
     assert [d["det"] for d in rep["determinants"]] == [0, 0]
     assert not rep["allPass"]
 
 
-def test_verify_extremal_envelope_violation(sqrt2, sqrt2_seq_1e5):
-    target, approx = sqrt2
+def test_verify_extremal_envelope_violation(sqrt2_seq_1e5):
     pts = sqrt2_seq_1e5.points()[:10] + [(40, 57)]  # (40,57) is not minimal
-    rep = verify_extremal_sequence(pts, target, approx, alpha=1, beta=1,
-                                   eps=0, big_c=1, seq=sqrt2_seq_1e5)
+    rep = verify_extremal_sequence(pts, sqrt2_seq_1e5, alpha=1, beta=1,
+                                   eps=0, big_c=1)
     assert rep["envelopeAgreement"][-1]["pass"] is False
     assert not rep["allPass"]
 
 
-def test_verify_extremal_too_few(cubic):
-    target, approx = cubic
+def test_verify_extremal_too_few(cubic_seq_1e4):
     with pytest.raises(TooFewPoints):
-        verify_extremal_sequence([(0, 0, 1), (1, 1, 1)], target, approx,
+        verify_extremal_sequence([(0, 0, 1), (1, 1, 1)], cubic_seq_1e4,
                                  alpha=Fraction(1, 2), beta=1, eps=0, big_c=1)
+
+
+def test_verify_extremal_refuses_points_beyond_the_sequence(sqrt2_seq_30):
+    # envelope agreement is decided against the sequence's entries, which
+    # say nothing past its x_max
+    pts = sqrt2_seq_30.points() + [(29, 41)]
+    with pytest.raises(BeyondCertifiedRange, match=r"\(29, 41\) lies beyond"):
+        verify_extremal_sequence(pts, sqrt2_seq_30, alpha=1, beta=1, eps=0, big_c=1)
