@@ -322,9 +322,10 @@ def _cmd_liouville(args) -> int:
         coeffs = [int(c) for c in args.minpoly.split(",")]
     except ValueError as e:
         raise SchemaError(f"--minpoly must be comma-separated integers: {e}") from None
-    lo, hi = (args.interval.split(",") + ["", ""])[:2]
-    if not lo or not hi:
+    ends = args.interval.split(",")
+    if len(ends) != 2 or not all(ends):
         raise SchemaError("--interval must be 'lo,hi'")
+    lo, hi = ends
     theta_doc = {"type": "algebraic", "minpoly": coeffs, "interval": [lo, hi]}
     extra_doc = {"type": "decimal", "value": args.extra}
     report = spectra.liouville_preset(theta_doc, extra_doc, Fraction(args.xmax))

@@ -11,11 +11,13 @@ DomainError at that first read.  refine produces a new handle with a tighter
 enclosure, computed at once, and never widens an earlier one.
 
 All endpoint arithmetic is exact (fractions.Fraction / big ints).  Only square
-roots and algebraic-root isolation introduce outward dyadic rounding, which is
-driven below any requested radius by raising the working precision.  The
-working precision escalates by doubling, starting at 64 bits, up to the one
-precision cap of the package (precision_cap, read from SIMRA_PRECISION_CAP
-at each use; 4096 bits when unset).
+roots and algebraic roots introduce outward dyadic rounding, which is driven
+below any requested radius by raising the working precision.  An algebraic
+root is refined in integers on a dyadic interval whose certificate is the
+exact sign of its polynomial at the two ends.  The working precision
+escalates by doubling, starting at 64 bits, up to the one precision cap of
+the package (precision_cap, read from SIMRA_PRECISION_CAP at each use; 4096
+bits when unset).
 """
 
 from __future__ import annotations
@@ -68,23 +70,23 @@ def _pderiv(coeffs: Sequence[int]) -> tuple[int, ...]:
     return _ptrim([i * coeffs[i] for i in range(1, len(coeffs))])
 
 
-def _peval(coeffs: Sequence[int], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _psign_at(coeffs: Sequence[int], num: int, den: int) -> int:
-    """Sign of p(num/den) for den > 0, via an all-integer Horner scheme."""
+def _pvalue(coeffs: Sequence[int], num: int, den: int) -> int:
+    """den^d p(num/den) = sum c_i num^i den^(d-i), d = len(coeffs) - 1, by an
+    all-integer Horner scheme."""
     d = len(coeffs) - 1
     acc = 0
     denpow = 1
-    # sum c_i num^i den^(d-i), built highest degree first
+    # built highest degree first
     for i in range(d, -1, -1):
         acc = acc * num + coeffs[i] * denpow
         if i > 0:
             denpow *= den
+    return acc
+
+
+def _psign_at(coeffs: Sequence[int], num: int, den: int) -> int:
+    """Sign of p(num/den) for den > 0."""
+    acc = _pvalue(coeffs, num, den)
     return (acc > 0) - (acc < 0)
 
 
@@ -248,9 +250,11 @@ class _AlgebraicLeaf(_Desc):
     """The unique root of an integer polynomial in an isolating interval.
 
     State is a dyadic interval [a, b] / 2^p whose endpoints give opposite
-    signs of the polynomial, or an exact rational value when a dyadic
-    bisection point happens to hit the root.  Refinement is hybrid: interval
-    Newton steps (quadratic convergence) with bisection as the fallback.
+    signs of the polynomial, or an exact rational value when a dyadic point
+    that a step evaluates hits the root.  Those two signs are the whole
+    certificate.  Refinement runs on the integers a, b, p: a Newton guess
+    from the midpoint, kept when the signs certify it (quadratic
+    convergence), with bisection as the fallback.
     """
 
     __slots__ = ("coeffs", "deriv", "a", "b", "p", "exact")
@@ -314,11 +318,6 @@ class _AlgebraicLeaf(_Desc):
         self.a = self.b = None
         self.p = None
 
-    def _interval(self) -> tuple[Fraction, Fraction]:
-        if self.exact is not None:
-            return self.exact, self.exact
-        return Fraction(self.a, 1 << self.p), Fraction(self.b, 1 << self.p)
-
     def _bisect_once(self) -> None:
         self.a, self.b, self.p = self.a * 2, self.b * 2, self.p + 1
         m = (self.a + self.b) // 2
@@ -332,70 +331,54 @@ class _AlgebraicLeaf(_Desc):
         else:
             self.b = m
 
-    def _deriv_interval(self) -> tuple[Fraction, Fraction]:
-        lo, hi = self._interval()
-        vlo = vhi = Fraction(0)
-        for c in reversed(self.deriv):
-            # interval Horner: v*x + c with x in [lo, hi]
-            cands = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
-            vlo, vhi = min(cands) + c, max(cands) + c
-        return vlo, vhi
-
     def _newton_once(self) -> bool:
-        dlo, dhi = self._deriv_interval()
-        if dlo <= 0 <= dhi:
+        """One Newton step from the midpoint in integers, kept only when the
+        signs certify it: the proposal [x - r, x + r], clipped to [a, b],
+        must change sign at its ends.  It lies on a grid h bits finer, h the
+        bits the interval holds (width < 2^-h), so a step that lands takes
+        h to about 7h/4 bits; r = (b - a) 2^(h/4) widens with h so that a
+        root with a large |p''/p'| (a close neighbour) is taken by Newton
+        once bisection has closed in on it."""
+        a, b, p = self.a, self.b, self.p
+        w = b - a
+        h = p - w.bit_length()
+        if h < 3:  # the proposal would shrink the interval no more than a bisection
             return False
-        m = Fraction(self.a + self.b, 1 << (self.p + 1))
-        fm = _peval(self.coeffs, m)
-        if fm == 0:
-            self._collapse(m)
+        r = w << (h >> 2)
+        s = p + 1
+        m = a + b
+        f = _pvalue(self.coeffs, m, 1 << s)
+        if f == 0:
+            self._collapse(Fraction(m, 1 << s))
             return True
-        q1, q2 = fm / dlo, fm / dhi
-        nlo, nhi = m - max(q1, q2), m - min(q1, q2)
-        lo, hi = self._interval()
-        nlo, nhi = max(nlo, lo), min(nhi, hi)
-        if not nlo <= nhi:
+        g = _pvalue(self.deriv, m, 1 << s)
+        if g == 0:
             return False
-        width_old = hi - lo
-        width_new = nhi - nlo
-        if width_new * 2 > width_old:
+        # the Newton point (m - f / g) / 2^s in steps of 2^-q, rounded down
+        q = p + h
+        x = ((m * g - f) << (q - s)) // g
+        lo, hi = max(x - r, a << h), min(x + r, b << h)
+        if not lo < hi:
             return False
-        # re-anchor on a dyadic grid fine enough to keep most of the gain:
-        # gain ~ log2(width_old / width_new), from bit lengths, O(1) big-int ops
-        if width_new == 0:
-            gain = 8192
-        else:
-            ratio = width_old / width_new
-            gain = ratio.numerator.bit_length() - ratio.denominator.bit_length() - 2
-        gain = max(4, min(gain, 8192))
-        p_new = self.p + gain
-        a_new = max(_frac_floor_scaled(nlo, p_new), self.a << (p_new - self.p))
-        b_new = min(_frac_ceil_scaled(nhi, p_new), self.b << (p_new - self.p))
-        if not a_new < b_new:
-            return False
-        sa = self._sign(a_new, p_new)
-        if sa == 0:
-            self._collapse(Fraction(a_new, 1 << p_new))
+        s_lo = self._sign(lo, q)
+        if s_lo == 0:
+            self._collapse(Fraction(lo, 1 << q))
             return True
-        sb = self._sign(b_new, p_new)
-        if sb == 0:
-            self._collapse(Fraction(b_new, 1 << p_new))
+        s_hi = self._sign(hi, q)
+        if s_hi == 0:
+            self._collapse(Fraction(hi, 1 << q))
             return True
-        if sa == sb:
+        if s_lo == s_hi:
             return False
-        self.a, self.b, self.p = a_new, b_new, p_new
+        self.a, self.b, self.p = lo, hi, q
         return True
 
     def _compute(self, bits):
-        if self.exact is not None:
-            return self.exact, self.exact, True
-        target = None
         while self.exact is None:
-            lo, hi = self._interval()
-            mid_mag = abs(lo + hi) / 2
-            target = Fraction(1, 1 << bits) * max(Fraction(1), mid_mag)
-            if hi - lo <= 2 * target:
-                return lo, hi, False
+            a, b, p = self.a, self.b, self.p
+            # radius (b - a) / 2^(p+1) <= 2^-bits * max(1, |a + b| / 2^(p+1))
+            if (b - a) << bits <= max(1 << (p + 1), abs(a + b)):
+                return Fraction(a, 1 << p), Fraction(b, 1 << p), False
             if not self._newton_once():
                 self._bisect_once()
         return self.exact, self.exact, True
@@ -711,6 +694,16 @@ def sign(x: RigorousReal) -> int | None:
 
 
 def dyadic_bounds(x: RigorousReal, bits: int) -> tuple[int, int]:
-    """Integers (lo, hi) with x in [lo, hi] / 2^bits."""
-    lo, hi, _ = x._desc.enclosure(bits)
-    return _frac_floor_scaled(lo, bits), _frac_ceil_scaled(hi, bits)
+    """Integers (lo, hi) with x in [lo, hi] / 2^bits: the floor and ceiling
+    of 2^bits x.  An enclosure that straddles a point of the grid is refined
+    by doubling until it falls inside one cell (hi - lo <= 1), is saturated,
+    or reaches the precision cap; so the bounds are those of the value, not
+    of how far its refinement happened to overshoot."""
+    cap = precision_cap()
+    work = bits
+    while True:
+        lo, hi, sat = x._desc.enclosure(work)
+        lo, hi = _frac_floor_scaled(lo, bits), _frac_ceil_scaled(hi, bits)
+        if hi - lo <= 1 or sat or work >= cap:
+            return lo, hi
+        work = min(2 * work, cap)

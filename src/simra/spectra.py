@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, TextIO, Union
+from typing import TextIO
 
 from . import minpoints, model, reporting, rigorous, transference
 from .errors import DomainError, SchemaError, TooFewPoints
@@ -35,31 +35,22 @@ def _spectrum_poly(n: int) -> list[int]:
     return [-1] + [(n - 1) ** (k - 1) for k in range(1, n + 1)]
 
 
-def _tolerance(tol) -> Fraction:
-    """tol as an exact positive Fraction; DomainError if it is not one."""
-    try:
-        tol = Fraction(tol)
-    except (OverflowError, ValueError) as e:  # inf, nan, malformed text
-        raise DomainError(f"tol must be a finite number: {e}") from None
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    return tol
+# lambda_n's enclosure is at most 10^-30 wide, frontier's bracket 10^-14
+_LAMBDA_BITS = (10 ** 30).bit_length() + 2
+_FRONTIER_TOL = Fraction(1, 10 ** 14)
 
 
-def lambda_n(n: int, tol: Union[Fraction, float] = Fraction(1, 10 ** 30)
-             ) -> RigorousReal:
+def lambda_n(n: int) -> RigorousReal:
     """The unique positive root of the spectrum polynomial, refined so the
-    enclosure width is at most tol."""
+    enclosure width is at most 10^-30."""
     if n < 2:
         raise DomainError("the spectrum corner needs n >= 2")
-    tol = _tolerance(tol)
     root = rigorous.algebraic_root(_spectrum_poly(n), (Fraction(0), Fraction(1)))
-    bits = max(8, (tol.denominator // max(1, tol.numerator)).bit_length() + 2)
-    rigorous.refine(root, bits)
+    rigorous.refine(root, _LAMBDA_BITS)
     return root
 
 
-def frontier(lambda_hat, n: int, tol: Fraction = Fraction(1, 10 ** 14)):
+def frontier(lambda_hat, n: int):
     """The least ordinary exponent compatible with uniform exponent
     lambda_hat: the root in [lambda_hat, oo) of mm_lhs(lambda_hat, x, n) = 1.
 
@@ -67,14 +58,13 @@ def frontier(lambda_hat, n: int, tol: Fraction = Fraction(1, 10 ** 14)):
     infinity marker at lambda_hat = 1 where no finite value satisfies the
     equation.  For n >= 3 the root is bisected from [lambda_hat, hi], hi
     the first of max(1, 2 lambda_hat) * 2^j at which mm_lhs <= 1, until
-    the bracket is at most tol wide; the result is the midpoint of the
+    the bracket is at most 10^-14 wide; the result is the midpoint of the
     last bracket.  Each step is decided exactly by the integer sign test
     transference.mm_lhs_exceeds_one, so the midpoint is the one an exact
     Fraction bisection on mm_lhs reaches.
     """
     if n < 2:
         raise DomainError("the frontier needs n >= 2")
-    tol = _tolerance(tol)
     lam_hat = Fraction(lambda_hat)
     if not Fraction(1, n) <= lam_hat <= 1:
         raise DomainError(
@@ -92,8 +82,8 @@ def frontier(lambda_hat, n: int, tol: Fraction = Fraction(1, 10 ** 14)):
     while above(p, q, hi.numerator, hi.denominator, n):
         hi *= 2
     width = hi - lam_hat
-    # Halving stops at the least step count with width / 2^steps <= tol.
-    steps = (math.ceil(width / tol) - 1).bit_length()
+    # Halving stops at the least step count with width / 2^steps <= 10^-14.
+    steps = (math.ceil(width / _FRONTIER_TOL) - 1).bit_length()
     # After k steps the bracket is lam_hat + width * [a, a+1] / 2^k, and
     # lam_hat + width * m / 2^k = (base * 2^k + step * m) / (scale * 2^k).
     scale = q * width.denominator

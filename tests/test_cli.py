@@ -353,6 +353,19 @@ def test_liouville_subcommand(tmp_path, capsys):
     assert rep["entries"] >= 5
 
 
+@pytest.mark.parametrize("interval", ["1,2,99", "1", "1,", ",2", "1,2,"])
+def test_liouville_rejects_an_interval_without_exactly_two_ends(tmp_path, capsys,
+                                                                interval):
+    path = tmp_path / "liou.json"
+    code, out = run_cli(capsys, "liouville", "--minpoly=-2,0,1",
+                        "--interval", interval, "--extra", "1.7320508075688772935",
+                        "--xmax", "500", "--out", str(path))
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert (err["type"], err["message"]) == ("SchemaError", "--interval must be 'lo,hi'")
+    assert not path.exists()
+
+
 def test_plot_envelope(cubic_run, capsys):
     code, _ = run_cli(capsys, "plot", "--run", str(cubic_run),
                       "--what", "envelope")

@@ -500,6 +500,18 @@ def test_comparator_lower_bound_is_sound(target):
     assert decided > 0
 
 
+@pytest.mark.parametrize("preset", presets.preset_names())
+def test_comparator_views_are_the_floor_and_ceiling(preset):
+    # the scans and verify_minimality's windows are built from these 64-bit
+    # views: the floor and ceiling of the value, however far its refinement
+    # overshot 64 bits
+    target, _ = presets.load_preset(preset)
+    comparator = minpoints._Comparator(target)
+    widths = [hi - lo for lo, hi in comparator.snap]
+    assert widths == [0 if c.is_exact else 1 for c in target.coords]
+    assert [hi - lo for lo, hi in comparator.ratio_snap] == [1] * target.n
+
+
 @pytest.mark.parametrize("preset, want", [
     ("cbrt2", 30882), ("liouville-sqrt2", 1469), ("sqrt2", 5908), ("sqrt2-even-x0", 1223),
 ])

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -234,7 +234,9 @@ def test_precision_cap_roundtrip(monkeypatch):
 def test_dyadic_bounds():
     lo, hi = rigorous.dyadic_bounds(sqrt(2), 16)
     assert lo <= SQRT2 * 2 ** 16 <= hi
-    assert hi - lo <= 2
+    assert hi - lo == 1
+    # a value on the grid that no enclosure saturates straddles it up to the cap
+    assert rigorous.dyadic_bounds(sqrt(2) * sqrt(2), 16) == (2 ** 17 - 1, 2 ** 17 + 1)
 
 
 # -- isolation on the square-free part p / gcd(p, p'), as done before one
@@ -374,6 +376,68 @@ def test_isolation_matches_the_square_free_reference():
             else:
                 assert max(glo, wlo) <= min(ghi, whi), (coeffs, lo, hi, bits)
     assert square_free >= 30 and repeated >= 20
+
+
+# -- the refinement certificate: signs at two dyadic ends ------------------------
+
+def _is_dyadic(q):
+    return q.denominator & (q.denominator - 1) == 0
+
+
+def _certified_enclosure(coeffs, lo, hi, bits):
+    """A fresh leaf's enclosure at bits, checked against its certificate:
+    dyadic ends inside the isolating interval, opposite signs of the
+    polynomial at them (or a root hit exactly), and the radius contract."""
+    a, b, sat = rigorous._AlgebraicLeaf(coeffs, lo, hi).enclosure(bits)
+    assert _is_dyadic(a) and _is_dyadic(b), (coeffs, lo, hi, bits)
+    assert lo <= a <= b <= hi, (coeffs, lo, hi, bits)
+    s_a = rigorous._psign_at(coeffs, a.numerator, a.denominator)
+    s_b = rigorous._psign_at(coeffs, b.numerator, b.denominator)
+    if sat:
+        assert a == b and s_a == 0, (coeffs, lo, hi, bits)
+    else:
+        assert s_a * s_b == -1, (coeffs, lo, hi, bits)
+    assert (b - a) / 2 <= Fraction(1, 2 ** bits) * max(1, abs(a + b) / 2)
+    return a, b, sat
+
+
+def test_refinement_is_certified_by_signs_at_its_dyadic_ends():
+    rng = random.Random(20261019)
+    cases = 0
+    while cases < 40:
+        coeffs = rigorous._ptrim([rng.randint(-9, 9) for _ in range(rng.randint(3, 7))])
+        if len(coeffs) < 2 or len(_reference_pgcd(coeffs, rigorous._pderiv(coeffs))) > 1:
+            continue
+        lo = Fraction(rng.randint(-16, 16), rng.randint(1, 4))
+        hi = lo + Fraction(rng.randint(1, 16), rng.randint(1, 4))
+        if isinstance(_leaf_outcome(rigorous._AlgebraicLeaf, coeffs, lo, hi), tuple):
+            continue
+        cases += 1
+        for bits in (64, 200, 1000, rigorous.precision_cap()):
+            _certified_enclosure(coeffs, lo, hi, bits)
+
+
+def test_refinement_separates_two_roots_2_to_the_minus_40_apart():
+    # sqrt(2) and sqrt(2) + 2^-40: x^2 - 2 times (2^40 x - 1)^2 - 2^81
+    coeffs = _pmul([-2, 0, 1], [1 - 2 ** 81, -2 ** 41, 2 ** 80])
+    split = Fraction(isqrt(2 << 120), 2 ** 60) + Fraction(1, 2 ** 41)
+    shift = Fraction(1, 2 ** 40)
+    for bits in (64, 200, 1000, rigorous.precision_cap()):
+        a, b, _ = _certified_enclosure(coeffs, Fraction(1), split, bits)
+        assert a * a < 2 < b * b
+        a, b, _ = _certified_enclosure(coeffs, split, Fraction(2), bits)
+        assert (a - shift) ** 2 < 2 < (b - shift) ** 2
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (Fraction(0), Fraction(1)),  # a bisection midpoint lands on 3/8
+    (Fraction(11, 32), Fraction(13, 32)),  # so does the first Newton midpoint
+], ids=["bisection", "newton"])
+def test_an_exact_dyadic_root_collapses(lo, hi):
+    coeffs = _pmul([-3, 8], [-2, 0, 1])  # (8x - 3)(x^2 - 2)
+    for bits in (64, rigorous.precision_cap()):
+        assert _certified_enclosure(coeffs, lo, hi, bits) == (
+            Fraction(3, 8), Fraction(3, 8), True)
 
 
 # -- enclosures on first read ---------------------------------------------------
