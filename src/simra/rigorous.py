@@ -13,11 +13,12 @@ enclosure, computed at once, and never widens an earlier one.
 All endpoint arithmetic is exact (fractions.Fraction / big ints).  Only square
 roots and algebraic roots introduce outward dyadic rounding, which is driven
 below any requested radius by raising the working precision.  An algebraic
-root is refined in integers on a dyadic interval whose certificate is the
-exact sign of its polynomial at the two ends.  The working precision
-escalates by doubling, starting at 64 bits, up to the one precision cap of
-the package (precision_cap, read from SIMRA_PRECISION_CAP at each use; 4096
-bits when unset).
+root is isolated by a Sturm chain of integer pseudo-remainders and refined in
+integers on a dyadic interval whose certificate is the exact sign of its
+polynomial at the two ends; a rational root is recognized and kept exact.
+The working precision escalates by doubling, starting at 64 bits, up to the
+one precision cap of the package (precision_cap, read from
+SIMRA_PRECISION_CAP at each use; 4096 bits when unset).
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from __future__ import annotations
 import os
 from enum import Enum
 from fractions import Fraction
-from math import gcd, isqrt, lcm
-from typing import Iterable, Sequence, Union
+from math import gcd, isqrt
+from typing import Sequence, Union
 
 from .errors import DomainError, NoSignChange, NotSquareFree, PrecisionCapExceeded
 
@@ -90,46 +91,32 @@ def _psign_at(coeffs: Sequence[int], num: int, den: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _prem_q(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    """Remainder of long division over Q."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - 1 - db
-        coef = a[-1] / lb
-        for i in range(db + 1):
-            a[shift + i] -= coef * b[i]
-        a.pop()
-    return a
-
-
-def _pprimitive(coeffs: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a rational polynomial by a positive rational to a primitive
-    integer one; () for the zero polynomial."""
-    c = _ptrim(coeffs)
-    if not c:
-        return ()
-    mult = lcm(*[x.denominator for x in c])
-    ints = [int(x * mult) for x in c]
-    g = gcd(*ints)
-    return tuple(v // g for v in ints)
-
-
 def _sturm_chain(coeffs: Sequence[int]) -> list[tuple[int, ...]]:
     """p, p' and the negated remainders, each made primitive with its sign
-    kept.  The last member is gcd(p, p') up to a constant, and the sign
-    variations count the distinct roots of p, square free or not."""
+    kept.  The remainders run in integers (Collins' primitive remainder
+    sequence): a step reduces a by b to a positive multiple of the remainder
+    over Q, whose primitive part, the quotient by the positive gcd of its
+    coefficients, is unique.  The last member is gcd(p, p') up to a
+    constant, and the sign variations count the distinct roots of p, square
+    free or not."""
     chain = [_ptrim(coeffs), _pderiv(coeffs)]
     while len(chain[-1]) > 1:
-        r = _prem_q([Fraction(c) for c in chain[-2]],
-                    [Fraction(c) for c in chain[-1]])
-        prim = _pprimitive([-x for x in r])
-        if not prim:
+        a, b = list(chain[-2]), chain[-1]
+        if b[-1] < 0:  # the remainder by -b is the remainder by b
+            b = [-x for x in b]
+        db, lb = len(b) - 1, b[-1]
+        while len(a) > db:
+            c = a.pop()
+            if c:  # a <- lc(b) a - c x^shift b cancels the popped term
+                a = [lb * x for x in a]
+                shift = len(a) - db
+                for i in range(db):
+                    a[shift + i] -= c * b[i]
+        r = _ptrim([-x for x in a])
+        if not r:
             break
-        chain.append(prim)
+        g = gcd(*r)
+        chain.append(tuple(x // g for x in r))
     return [p for p in chain if p]
 
 
@@ -197,8 +184,6 @@ class _Desc:
     def __init__(self):
         self._cache = None  # (bits, lo, hi, saturated)
 
-    saturated_leaf = False
-
     def enclosure(self, bits: int) -> tuple[Fraction, Fraction, bool]:
         """Best-effort enclosure targeting radius <= 2^-bits * max(1, |mid|).
 
@@ -221,7 +206,6 @@ class _Desc:
 
 class _RationalLeaf(_Desc):
     __slots__ = ("value",)
-    saturated_leaf = True
 
     def __init__(self, value: Fraction):
         super().__init__()
@@ -235,7 +219,6 @@ class _DecimalLeaf(_Desc):
     """A decimal literal with +-0.5 ulp uncertainty on its last stated digit."""
 
     __slots__ = ("value", "radius")
-    saturated_leaf = True
 
     def __init__(self, value: Fraction, radius: Fraction):
         super().__init__()
@@ -250,11 +233,10 @@ class _AlgebraicLeaf(_Desc):
     """The unique root of an integer polynomial in an isolating interval.
 
     State is a dyadic interval [a, b] / 2^p whose endpoints give opposite
-    signs of the polynomial, or an exact rational value when a dyadic point
-    that a step evaluates hits the root.  Those two signs are the whole
-    certificate.  Refinement runs on the integers a, b, p: a Newton guess
-    from the midpoint, kept when the signs certify it (quadratic
-    convergence), with bisection as the fallback.
+    signs of the polynomial, or the exact value when the root is rational.
+    Those two signs are the whole certificate.  Refinement runs on the
+    integers a, b, p: a Newton guess from the midpoint, kept when the signs
+    certify it (quadratic convergence), with bisection as the fallback.
     """
 
     __slots__ = ("coeffs", "deriv", "a", "b", "p", "exact")
@@ -310,8 +292,22 @@ class _AlgebraicLeaf(_Desc):
                     return
                 if sa != sb:
                     self.a, self.b, self.p = a, b, p
-                    return
+                    break
             p *= 2
+        # A rational root u/v in lowest terms has v | lc, and two such
+        # fractions are at least 1/lc^2 apart: on a narrower interval, the
+        # one of denominator <= |lc| nearest the midpoint is the only
+        # candidate, if it lies inside (a root outside may be nearer).
+        lc = self.coeffs[-1]
+        while self.exact is None and (self.b - self.a) * lc * lc >= 1 << self.p:
+            if not self._newton_once():
+                self._bisect_once()
+        if self.exact is None:
+            a, b, p = self.a, self.b, self.p
+            u = Fraction(a + b, 1 << (p + 1)).limit_denominator(abs(lc))
+            n, d = u.numerator, u.denominator
+            if a * d < n << p < b * d and _pvalue(self.coeffs, n, d) == 0:
+                self._collapse(u)
 
     def _collapse(self, value: Fraction) -> None:
         self.exact = value

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from simra import presets
 from simra.cli import main
 
 SQRT2_XMAX30_ROWS = ["0,0,1,1", "1,1,1,2", "2,2,3,13", "3,5,7,74", "4,12,17,433"]
@@ -353,6 +354,21 @@ def test_liouville_subcommand(tmp_path, capsys):
     assert rep["entries"] >= 5
 
 
+@pytest.mark.parametrize("minpoly, xmax, want", [
+    ("-2,0,1", "10000", "9d10de6aa1e9461c28d3d764a15d001be6bb17a5a4222ebfa04a8d6e519bd928"),
+    ("-2,0,0,1", "2000", "cb3e34ed7a8414404621051be581b7adcf0fc448f705923470017d80db638030"),
+], ids=["sqrt2", "cbrt2"])
+def test_liouville_report_bytes(tmp_path, capsys, minpoly, xmax, want):
+    # no bench golden covers this report, which runs through an algebraic
+    # theta and lambda_n; the extra coordinate is the preset's 60-digit sqrt(3)
+    path = tmp_path / "liou.json"
+    code, _ = run_cli(capsys, "liouville", f"--minpoly={minpoly}", "--interval", "1,2",
+                      "--extra", presets._SQRT3_60["value"], "--xmax", xmax,
+                      "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == want
+
+
 @pytest.mark.parametrize("interval", ["1,2,99", "1", "1,", ",2", "1,2,"])
 def test_liouville_rejects_an_interval_without_exactly_two_ends(tmp_path, capsys,
                                                                 interval):
@@ -399,6 +415,24 @@ def test_config_file_round_trip(tmp_path, capsys):
     lines = read(run / "minimal_points.csv").splitlines()
     assert len(lines) == 6  # (0,1),(2,2),(2,3),(10,14),(12,17)
     assert lines[2].startswith("1,2,2,8")
+
+
+def test_a_rational_algebraic_coordinate_enumerates_as_the_rational(tmp_path, capsys):
+    # the root of (3x - 1)(x^2 - 2) in [0, 1] is 1/3: both targets are
+    # rationally dependent, and both stop on the same tie
+    sqrt2 = {"type": "algebraic", "minpoly": [-2, 0, 1], "interval": ["1", "2"]}
+    outs = []
+    for third in ({"type": "algebraic", "minpoly": [2, -6, -1, 3], "interval": ["0", "1"]},
+                  {"type": "rational", "value": "1/3"}):
+        cfg = tmp_path / "target.json"
+        cfg.write_text(json.dumps({
+            "n": 2, "coords": [{"type": "rational", "value": "1"}, sqrt2, third]}))
+        code, out = run_cli(capsys, "enumerate", "--config", str(cfg),
+                            "--xmax", "100", "--out", str(tmp_path / "run"))
+        assert code == 1
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["error"]["type"] == "TieUnresolved"
 
 
 def test_entry_point_subprocess():

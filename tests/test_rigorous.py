@@ -6,7 +6,7 @@ from math import gcd, isqrt, lcm
 
 import pytest
 
-from simra import rigorous
+from simra import rigorous, spectra
 from simra.errors import DomainError, NoSignChange, NotSquareFree, PrecisionCapExceeded
 from simra.rigorous import (
     Comparison,
@@ -378,6 +378,110 @@ def test_isolation_matches_the_square_free_reference():
     assert square_free >= 30 and repeated >= 20
 
 
+# -- the Sturm chain in integers, against a Fraction chain and known roots
+
+
+def _reference_sturm_chain(coeffs):
+    """p, p' and the negated remainders of long division over Q, each
+    remainder scaled by a positive rational to a primitive integer one."""
+    def primitive(c):
+        ints = [int(x * lcm(*[y.denominator for y in c])) for x in c]
+        g = gcd(*ints)
+        return tuple(v // g for v in ints)
+
+    p = rigorous._ptrim(coeffs)
+    chain = [p, rigorous._pderiv(p)]
+    rest = [[Fraction(c) for c in p], [Fraction(c) for c in chain[1]]]
+    while len(rest[-1]) > 1:
+        _, r = _reference_divmod(rest[-2], rest[-1])
+        if not any(r):
+            break
+        rest.append([-x for x in r])
+        chain.append(primitive(rest[-1]))
+    return chain
+
+
+def _frontier_polynomial(lam_hat, n):
+    """q^n x^(n-1) - sum_{i<n} p^(i+1) q^(n-1-i) x^(n-1-i), lam_hat = p/q:
+    mm_lhs(lam_hat, x, n) = 1 with the denominators cleared."""
+    p, q = lam_hat.numerator, lam_hat.denominator
+    coeffs = [-p ** (n - j) * q ** j for j in range(n)]
+    coeffs[n - 1] += q ** n
+    return coeffs
+
+
+def _known_root_polynomial(rng):
+    """A product of factors (v x - u) and x^2 - d, d not a square, some
+    repeated, with its distinct rational roots and its values of d."""
+    coeffs, rationals, squares = [1], set(), set()
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.5:
+            u, v = rng.randint(-12, 12), rng.randint(1, 6)
+            factor = [-u, v]
+            rationals.add(Fraction(u, v))
+        else:
+            d = rng.choice([2, 3, 5, 6, 7, 8, 10, 12])
+            factor = [-d, 0, 1]
+            squares.add(d)
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            coeffs = _pmul(coeffs, factor)
+    return coeffs, rationals, squares
+
+
+def _roots_in(rationals, squares, lo, hi):
+    """Distinct known roots in (lo, hi], the irrational ones +-sqrt(d)
+    compared with a rational t exactly: sqrt(d) < t iff t > 0 and t^2 > d."""
+    def below(s, d, t):  # s sqrt(d) < t
+        return (t > 0 and t * t > d) if s > 0 else (t > 0 or t * t < d)
+    count = sum(1 for r in rationals if lo < r <= hi)
+    for d in squares:
+        count += sum(1 for s in (1, -1) if below(s, d, hi) and not below(s, d, lo))
+    return count
+
+
+def test_sturm_chain_counts_known_roots_and_equals_the_fraction_chain():
+    rng = random.Random(20261019)
+    cases = 0
+    for _ in range(150):
+        coeffs, rationals, squares = _known_root_polynomial(rng)
+        chain = rigorous._sturm_chain(coeffs)
+        assert chain == _reference_sturm_chain(coeffs), coeffs
+        for _ in range(10):
+            lo = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+            hi = lo + Fraction(rng.randint(1, 60), rng.randint(1, 9))
+            if lo in rationals or hi in rationals:
+                continue
+            cases += 1
+            assert count_real_roots(coeffs, lo, hi) == _roots_in(
+                rationals, squares, lo, hi), (coeffs, lo, hi)
+    assert cases >= 1000
+
+
+def test_sturm_chain_equals_the_fraction_chain_on_sparse_signed_polynomials():
+    # zeros and negative leading coefficients: a reduction can take an odd
+    # number of steps, where a negative multiplier lc(b) would flip the sign
+    rng = random.Random(20261021)
+    for _ in range(300):
+        coeffs = [rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(rng.randint(2, 8))]
+        coeffs.append(rng.choice([-1, 1]) * rng.randint(1, 9))
+        assert rigorous._sturm_chain(coeffs) == _reference_sturm_chain(coeffs), coeffs
+
+
+def test_sturm_chain_of_the_n_7_frontier_polynomial():
+    # coefficients near 100^7: the one root above lam_hat is the frontier,
+    # which spectra bisects on mm_lhs in integers, with no Sturm chain
+    lam_hat = Fraction(97, 100)
+    coeffs = _frontier_polynomial(lam_hat, 7)
+    assert rigorous._sturm_chain(coeffs) == _reference_sturm_chain(coeffs)
+    root = spectra.frontier(lam_hat, 7)
+    tol = Fraction(1, 10 ** 14)
+    hi = 64
+    assert count_real_roots(coeffs, lam_hat, hi) == 1
+    assert count_real_roots(coeffs, root - tol, root + tol) == 1
+    assert count_real_roots(coeffs, lam_hat, root - tol) == 0
+    assert count_real_roots(coeffs, root + tol, hi) == 0
+
+
 # -- the refinement certificate: signs at two dyadic ends ------------------------
 
 def _is_dyadic(q):
@@ -386,16 +490,17 @@ def _is_dyadic(q):
 
 def _certified_enclosure(coeffs, lo, hi, bits):
     """A fresh leaf's enclosure at bits, checked against its certificate:
-    dyadic ends inside the isolating interval, opposite signs of the
-    polynomial at them (or a root hit exactly), and the radius contract."""
+    ends inside the isolating interval, and either dyadic ends with opposite
+    signs of the polynomial or one exact end, a root; and the radius
+    contract."""
     a, b, sat = rigorous._AlgebraicLeaf(coeffs, lo, hi).enclosure(bits)
-    assert _is_dyadic(a) and _is_dyadic(b), (coeffs, lo, hi, bits)
     assert lo <= a <= b <= hi, (coeffs, lo, hi, bits)
     s_a = rigorous._psign_at(coeffs, a.numerator, a.denominator)
     s_b = rigorous._psign_at(coeffs, b.numerator, b.denominator)
     if sat:
         assert a == b and s_a == 0, (coeffs, lo, hi, bits)
     else:
+        assert _is_dyadic(a) and _is_dyadic(b), (coeffs, lo, hi, bits)
         assert s_a * s_b == -1, (coeffs, lo, hi, bits)
     assert (b - a) / 2 <= Fraction(1, 2 ** bits) * max(1, abs(a + b) / 2)
     return a, b, sat
@@ -438,6 +543,45 @@ def test_an_exact_dyadic_root_collapses(lo, hi):
     for bits in (64, rigorous.precision_cap()):
         assert _certified_enclosure(coeffs, lo, hi, bits) == (
             Fraction(3, 8), Fraction(3, 8), True)
+
+
+@pytest.mark.parametrize("cls", [rigorous._AlgebraicLeaf, _ReferenceLeaf],
+                         ids=["leaf", "square-free-reference"])
+@pytest.mark.parametrize("coeffs, lo, hi, root", [
+    ([6, -16, -3, 8], Fraction(1, 3), Fraction(1), Fraction(3, 8)),  # (8x - 3)(x^2 - 2)
+    ([2, -6, -1, 3], Fraction(0), Fraction(1), Fraction(1, 3)),  # (3x - 1)(x^2 - 2)
+], ids=["3/8", "1/3"])
+def test_a_rational_root_is_exact(cls, coeffs, lo, hi, root):
+    leaf = cls(coeffs, lo, hi)
+    assert leaf.exact == root
+    for bits in (64, rigorous.precision_cap()):
+        assert leaf.enclosure(bits) == (root, root, True)
+    assert _certified_enclosure(coeffs, lo, hi, 64) == (root, root, True)
+
+
+def test_rational_roots_by_the_factor_are_exact():
+    rng = random.Random(20261020)
+    cases = 0
+    while cases < 300:
+        k = rng.randint(0, 8)
+        v = rng.choice([1 << k, rng.randint(1, 40)])
+        u = rng.randint(-3 * v, 3 * v)
+        root = Fraction(u, v)
+        coeffs = _pmul([-u, v], [-2, 0, 1])  # (v x - u)(x^2 - 2)
+        lo = root - Fraction(rng.randint(1, 64), rng.randint(1, 64))
+        hi = root + Fraction(rng.randint(1, 64), rng.randint(1, 64))
+        if isinstance(_leaf_outcome(rigorous._AlgebraicLeaf, coeffs, lo, hi), tuple):
+            continue
+        cases += 1
+        assert _certified_enclosure(coeffs, lo, hi, 64) == (root, root, True), (u, v, lo, hi)
+
+
+def test_a_rational_root_outside_the_interval_is_not_taken():
+    # (5x - 7)(x^2 - 2) on (1.405, 1.43): 7/5 is the fraction of denominator
+    # <= 5 nearest the midpoint and a root, but the interval isolates sqrt(2)
+    coeffs = _pmul([-7, 5], [-2, 0, 1])
+    a, b, sat = _certified_enclosure(coeffs, Fraction(281, 200), Fraction(143, 100), 64)
+    assert not sat and a * a < 2 < b * b
 
 
 # -- enclosures on first read ---------------------------------------------------
