@@ -21,11 +21,12 @@ def format_significant(value, digits: int = 15) -> str:
             return "inf" if value > 0 else "-inf"
         if math.isnan(value):
             return "nan"
+        num, den = value.as_integer_ratio()
+    else:
         value = Fraction(value)
-    value = Fraction(value)
+        num, den = value.numerator, value.denominator
     ctx = decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN)
-    d = ctx.divide(decimal.Decimal(value.numerator), decimal.Decimal(value.denominator))
-    return str(d)
+    return str(ctx.divide(decimal.Decimal(num), decimal.Decimal(den)))
 
 
 def json_canonical(obj) -> str:

@@ -35,9 +35,9 @@ def _spectrum_poly(n: int) -> list[int]:
     return [-1] + [(n - 1) ** (k - 1) for k in range(1, n + 1)]
 
 
-# lambda_n's enclosure is at most 10^-30 wide, frontier's bracket 10^-14
+# lambda_n's enclosure is at most 10^-30 wide, frontier's cells 10^-14
 _LAMBDA_BITS = (10 ** 30).bit_length() + 2
-_FRONTIER_TOL = Fraction(1, 10 ** 14)
+_FRONTIER_TOL_DEN = 10 ** 14
 
 
 def lambda_n(n: int) -> RigorousReal:
@@ -50,51 +50,109 @@ def lambda_n(n: int) -> RigorousReal:
     return root
 
 
+def _frontier_guess(p: int, q: int, n: int):
+    """An estimate of frontier(p/q, n): a float, or near lambda_hat = 1 a
+    Fraction.
+
+    With r = lambda_hat / lambda the equation mm_lhs = 1 reads
+    r + r^2 + ... + r^(n-1) = q/p - 1 =: c, whose root in (0, 1) has
+    relative condition number at most 1.  For c < 2^-26 the root is
+    c - c^2 + O(c^3), so lambda = p / (q - p) to a relative 2^-52 (exact
+    integers, where a float would overflow).  Otherwise Newton in floats
+    from min(1, c), which lies above the root of this convex increasing
+    sum, descends onto it.
+    """
+    if (q - p) << 26 < p:
+        return Fraction(p, q - p)
+    c = (q - p) / p
+    r = min(1.0, c)
+    for _ in range(100):
+        value, slope = 0.0, 0.0
+        for _ in range(n - 1):
+            slope = 1.0 + value + r * slope
+            value = r * (1.0 + value)
+        nxt = r - (value - c) / slope
+        if not nxt < r:
+            break
+        r = nxt
+    return p / q / r
+
+
 def frontier(lambda_hat, n: int):
     """The least ordinary exponent compatible with uniform exponent
     lambda_hat: the root in [lambda_hat, oo) of mm_lhs(lambda_hat, x, n) = 1.
 
     Returns an exact Fraction (exact closed form for n = 2), or the
     infinity marker at lambda_hat = 1 where no finite value satisfies the
-    equation.  For n >= 3 the root is bisected from [lambda_hat, hi], hi
-    the first of max(1, 2 lambda_hat) * 2^j at which mm_lhs <= 1, until
-    the bracket is at most 10^-14 wide; the result is the midpoint of the
-    last bracket.  Each step is decided exactly by the integer sign test
-    transference.mm_lhs_exceeds_one, so the midpoint is the one an exact
-    Fraction bisection on mm_lhs reaches.
+    equation.  For n >= 3 let hi be the first of max(1, 2 lambda_hat) * 2^j
+    at which mm_lhs <= 1, and split [lambda_hat, hi] into 2^steps equal
+    cells, steps the least count that makes a cell at most 10^-14 wide.
+    The result is the midpoint of the one cell a whose left end has
+    mm_lhs > 1 and whose right end does not (mm_lhs is strictly decreasing
+    in lambda): the midpoint that bisecting [lambda_hat, hi] on exact
+    mm_lhs values reaches.  Every one of these comparisons is the integer
+    sign test transference.mm_lhs_exceeds_one.
+
+    A guess (_frontier_guess) skips most doublings of hi and names a
+    bracket of a few cells around a.  Its two ends are certified by the
+    sign test, the bracket widening geometrically until they hold (at
+    worst to [lambda_hat, hi], whose ends hold by definition), and it is
+    bisected down to a.  A wrong guess costs time, never the result.
     """
     if n < 2:
         raise DomainError("the frontier needs n >= 2")
     lam_hat = Fraction(lambda_hat)
-    if not Fraction(1, n) <= lam_hat <= 1:
+    p, q = lam_hat.numerator, lam_hat.denominator
+    if not q <= n * p <= n * q:
         raise DomainError(
             f"lambda_hat must lie in [1/{n}, 1], got {lam_hat}"
         )
-    if lam_hat == 1:
+    if p == q:
         return INFINITE
-    if lam_hat == Fraction(1, n):
+    if n * p == q:
         return lam_hat
     if n == 2:
         return lam_hat ** 2 / (1 - lam_hat)
-    p, q = lam_hat.numerator, lam_hat.denominator
     above = transference.mm_lhs_exceeds_one
-    hi = max(Fraction(1), 2 * lam_hat)
-    while above(p, q, hi.numerator, hi.denominator, n):
-        hi *= 2
-    width = hi - lam_hat
-    # Halving stops at the least step count with width / 2^steps <= 10^-14.
-    steps = (math.ceil(width / _FRONTIER_TOL) - 1).bit_length()
-    # After k steps the bracket is lam_hat + width * [a, a+1] / 2^k, and
-    # lam_hat + width * m / 2^k = (base * 2^k + step * m) / (scale * 2^k).
-    scale = q * width.denominator
-    base = p * width.denominator
-    step = q * width.numerator
-    a = 0
-    for k in range(1, steps + 1):
-        # keep the upper half when mm_lhs still exceeds 1 at the midpoint
-        a = 2 * a + above(p, q, (base << k) + step * (2 * a + 1), scale << k, n)
-    k = steps + 1
-    return Fraction((base << k) + step * (2 * a + 1), scale << k)
+    guess = _frontier_guess(p, q, n)
+    hint = guess.as_integer_ratio() if 0 < guess < math.inf else None
+    top = max(q, 2 * p)  # hi = top / q
+    if hint:
+        # skip the doublings to the last one at most half the guess, once
+        # that one is certified to lie below the root
+        j = (hint[0] * q // (hint[1] * top)).bit_length() - 2
+        if j > 0 and above(p, q, top << j, q, n):
+            top <<= j + 1
+    while above(p, q, top, q, n):
+        top *= 2
+    width = top - p  # hi - lam_hat = width / q
+    steps = (-(-width * _FRONTIER_TOL_DEN // q) - 1).bit_length()
+    # cell m's left end: lam_hat + width m / (q 2^steps)
+    base, scale, cells = p << steps, q << steps, 1 << steps
+
+    def up(m: int) -> bool:
+        return above(p, q, base + width * m, scale, n)
+
+    # cell indices: up(lo) holds and up(hi) does not, by definition
+    lo, hi = 0, cells
+    if hint:
+        num, den = hint
+        g = min(max((num * q - p * den) * cells // (den * width), 0), cells)
+        # a failed end bounds the cell from the other side
+        d = 2
+        while g - d > lo and not up(g - d):
+            hi, d = g - d, 16 * d
+        lo, d = max(lo, g - d), 2
+        while g + d < hi and up(g + d):
+            lo, d = g + d, 16 * d
+        hi = min(hi, g + d)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if up(mid):
+            lo = mid
+        else:
+            hi = mid
+    return Fraction(2 * base + width * (2 * lo + 1), 2 * scale)
 
 
 def lambda_rows(n_hi: int = 10) -> list[tuple[int, RigorousReal]]:
@@ -106,12 +164,15 @@ def lambda_rows(n_hi: int = 10) -> list[tuple[int, RigorousReal]]:
 
 def frontier_rows(n: int, grid_count: int = 101) -> list[tuple[Fraction, object]]:
     """(lambda_hat, frontier) pairs on an even rational grid of [1/n, 1]."""
+    if n < 2:
+        raise DomainError("the frontier needs n >= 2")
     if grid_count < 2:
         raise DomainError("grid_count must be >= 2")
-    lo, hi = Fraction(1, n), Fraction(1)
+    # 1/n + (1 - 1/n) j / (grid_count - 1)
+    den = n * (grid_count - 1)
     out = []
     for j in range(grid_count):
-        lh = lo + (hi - lo) * j / (grid_count - 1)
+        lh = Fraction(grid_count - 1 + (n - 1) * j, den)
         out.append((lh, frontier(lh, n)))
     return out
 

@@ -14,7 +14,9 @@ of its row transform U.  Integer row operations keep every row of the shape
 W-perp intersect Z^N; the first rank columns of U^-1 span W, and U^-1 being
 unimodular, they are a basis of W intersect Z^N.  Sums, intersections and
 complements pass on the bases they already have, so no kernel is computed
-twice.
+twice.  The height-product ratio needs no basis of A+B: H(W) = H(W-perp),
+so its two passes, over the bases of A and B and over those of their
+complements, carry no inverse and read both heights off kernel rows.
 """
 
 from __future__ import annotations
@@ -119,16 +121,26 @@ def _integer_rows(vectors: Sequence[Sequence[int]], ambient: Optional[int],
     return vecs, ambient
 
 
+def _kernel(vecs: Sequence[Sequence[int]], ambient: int,
+            inverse: Optional[list[list[int]]] = None
+            ) -> tuple[int, list[list[int]]]:
+    """The rank of the span W of vecs and a basis of W-perp intersect Z^N,
+    from one echelon pass over [V^T | I] (carrying U^-1 in `inverse`
+    when given)."""
+    m = len(vecs)
+    rows = [[v[j] for v in vecs] + [1 if t == j else 0 for t in range(ambient)]
+            for j in range(ambient)]
+    rank = len(_echelon(rows, m, inverse))
+    return rank, [r[m:] for r in rows[rank:]]
+
+
 def _lattices(vecs: Sequence[Sequence[int]], ambient: int
               ) -> tuple[list[list[int]], list[list[int]]]:
     """Bases of W intersect Z^N and W-perp intersect Z^N for the span W of
     vecs, from one echelon pass over [V^T | I] carrying U^-1."""
-    m = len(vecs)
-    eye = [[1 if t == j else 0 for t in range(ambient)] for j in range(ambient)]
-    rows = [[v[j] for v in vecs] + e for j, e in enumerate(eye)]
-    inverse = [list(e) for e in eye]
-    rank = len(_echelon(rows, m, inverse))
-    return inverse[:rank], [r[m:] for r in rows[rank:]]
+    inverse = [[1 if t == j else 0 for t in range(ambient)] for j in range(ambient)]
+    rank, perp = _kernel(vecs, ambient, inverse)
+    return inverse[:rank], perp
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], ambient: Optional[int] = None
@@ -301,18 +313,25 @@ def orthogonal_complement(w: RationalSubspace) -> RationalSubspace:
 
 
 def schmidt_ratio(a: RationalSubspace, b: RationalSubspace) -> dict:
-    """Exact squared instrumentation of H(A+B) H(A cap B) vs H(A) H(B)."""
+    """Exact squared instrumentation of H(A+B) H(A cap B) vs H(A) H(B).
+
+    Two passes with no inverse give both heights: the kernel of the pass
+    over the bases of A and B is a basis of (A+B)-perp intersect Z^N, and
+    H(A+B) = H((A+B)-perp); that of the pass over A-perp and B-perp is a
+    basis of (A cap B) intersect Z^N.  The ranks give the dimensions.
+    """
     _check_ambient(a, b)
-    s = sum_(a, b)
-    i = intersect(a, b)
-    lhs_sq = s.squared_height * i.squared_height
+    ambient = a.ambient
+    sum_dim, sum_perp = _kernel([*a._basis, *b._basis], ambient)
+    perp_dim, meet = _kernel([*a._perp, *b._perp], ambient)
+    lhs_sq = gram_det(sum_perp) * gram_det(meet)
     rhs_sq = a.squared_height * b.squared_height
     return {
         "lhsSq": lhs_sq,
         "rhsSq": rhs_sq,
         "ratioSq": Fraction(lhs_sq, rhs_sq),
-        "sumDim": s.dim,
-        "intersectionDim": i.dim,
+        "sumDim": sum_dim,
+        "intersectionDim": ambient - perp_dim,
     }
 
 

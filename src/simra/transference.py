@@ -73,12 +73,11 @@ def mm_lhs(lambda_hat, lam, n: int):
     numeric = (int, float, Fraction)
     if isinstance(lambda_hat, numeric) and lambda_hat < 0:
         raise DomainError("lambda_hat must be >= 0")
-    if isinstance(lam, numeric) and not math.isinf(lam) \
-            and isinstance(lambda_hat, numeric):
+    if isinstance(lam, float) and lam == math.inf:
+        return lambda_hat
+    if isinstance(lam, numeric) and isinstance(lambda_hat, numeric):
         if lam < lambda_hat:
             raise DomainError("lam must be >= lambda_hat (or infinite)")
-    if isinstance(lam, float) and math.isinf(lam):
-        return lambda_hat
     if isinstance(lambda_hat, numeric) and lambda_hat == 0:
         return Fraction(0) if isinstance(lambda_hat, (int, Fraction)) else 0.0
     # lambda_hat^k / lam^(k-1) = lambda_hat * r^(k-1) with r = lambda_hat/lam

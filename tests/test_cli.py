@@ -1,17 +1,23 @@
 """The batch tool: determinism, manifests, error JSON, every subcommand."""
 
 import argparse
+import decimal
 import gc
 import hashlib
 import json
+import math
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+import simra
 from simra import presets
 from simra.cli import main
+from simra.reporting import format_significant
 
 SQRT2_XMAX30_ROWS = ["0,0,1,1", "1,1,1,2", "2,2,3,13", "3,5,7,74", "4,12,17,433"]
 
@@ -265,6 +271,41 @@ def test_frontier_csv(tmp_path, capsys):
     assert lines[0] == "lambda_hat,lambda" and len(lines) == 12
 
 
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_frontier_rejects_n_below_two(tmp_path, capsys, n):
+    path = tmp_path / "f.csv"
+    code, out = run_cli(capsys, "frontier", "--n", n, "--grid", "5", "--out", str(path))
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert (err["type"], err["message"]) == ("DomainError", "the frontier needs n >= 2")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("value, text", [
+    (0.1, "0.100000000000000"), (1 / 3, "0.333333333333333"), (-0.0, "0"),
+    (2.0, "2"), (1e20, "1.00000000000000E+20"), (5e-324, "4.94065645841247E-324"),
+    (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+    (Fraction(2, 3), "0.666666666666667"), (7, "7"),
+    (123456789012345678, "1.23456789012346E+17"),
+])
+def test_format_significant_rounds_the_exact_value(value, text):
+    assert format_significant(value) == text
+
+
+def test_format_significant_equals_the_fraction_quotient():
+    rng = random.Random(8)
+    values = ([rng.uniform(-1e3, 1e3) for _ in range(300)]
+              + [rng.random() * 10.0 ** rng.randint(-300, 300) for _ in range(300)]
+              + [Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 20))
+                 for _ in range(100)])
+    for digits in (6, 15):
+        ctx = decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN)
+        for v in values:
+            f = Fraction(v)
+            want = str(ctx.divide(decimal.Decimal(f.numerator), decimal.Decimal(f.denominator)))
+            assert format_significant(v, digits) == want, v
+
+
 def test_schmidt_fuzz_deterministic_output(tmp_path, capsys):
     texts = []
     for name in ("f1.json", "f2.json"):
@@ -441,6 +482,17 @@ def test_entry_point_subprocess():
         capture_output=True, text=True, timeout=120)
     assert out.returncode == 0
     assert out.stdout.strip().startswith("0.405267856")
+
+
+def test_package_runs_as_a_module():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(simra.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "simra", "lambda-n", "--n", "2"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "0.618033988749895"
 
 
 # ---------------------------------------------------------------------------

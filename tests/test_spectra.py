@@ -124,6 +124,105 @@ def test_frontier_equals_fraction_bisection_on_random_pairs():
         assert frontier(lh, n) == _fraction_bisection(lh, n), (n, lh)
 
 
+NEAR_END_EXPONENTS = (1, 5, 15, 30, 80, 200, 320)
+
+
+def _near_ends(n, exponents=NEAR_END_EXPONENTS):
+    """lambda_hat = 1 - 10^-k and 1/n + 10^-k: the frontier near infinity
+    and near the Dirichlet corner."""
+    for k in exponents:
+        yield 1 - Fraction(1, 10 ** k)
+        yield Fraction(1, n) + Fraction(1, 10 ** k)
+
+
+# sha256 of the frontier values at _near_ends(n), as "num/den" joined by
+# commas, recorded from the full bisection of [lambda_hat, hi]
+NEAR_END_SHA256 = {
+    3: "54cfd6711f96fc5a272f44b1e5d3ccc16a534567ed3d6aa36b83dc8e4e7e39c5",
+    4: "44131028f3f4515cf184de460373de9031d78a49103883dec1ae5e326545580c",
+    7: "9e524b60584ba246270d89b501648cf59d34b44c258f4a18da4a9be5cf2b116a",
+    12: "a69ee804a715d035fd0f6c8fe8abb0ea66d280526dc1eb7344792df49eb1aa52",
+}
+
+
+@pytest.mark.parametrize("n", sorted(NEAR_END_SHA256))
+def test_frontier_near_the_ends_is_pinned(n):
+    values = ",".join(f"{v.numerator}/{v.denominator}"
+                      for v in (frontier(lh, n) for lh in _near_ends(n)))
+    assert hashlib.sha256(values.encode()).hexdigest() == NEAR_END_SHA256[n]
+
+
+@pytest.mark.parametrize("n", sorted(NEAR_END_SHA256))
+def test_frontier_near_the_ends_equals_fraction_bisection(n):
+    # the Fraction reference takes seconds past 10^-30
+    for lh in _near_ends(n, (1, 5, 15, 30)):
+        assert frontier(lh, n) == _fraction_bisection(lh, n), (n, lh)
+
+
+def _grid_cell(lam_hat, n, value):
+    """The cell [value - half, value + half] of frontier's grid, its hi
+    certified by two mm_lhs values instead of found by doubling."""
+    start = max(Fraction(1), 2 * lam_hat)
+    j = 0
+    while start * 2 ** j < value:
+        j += 1
+    hi = start * 2 ** j
+    assert mm_lhs(lam_hat, hi, n) <= 1
+    assert j == 0 or mm_lhs(lam_hat, hi / 2, n) > 1
+    width = hi - lam_hat
+    cells = 1
+    while width * 10 ** 14 > cells:
+        cells *= 2
+    half = width / cells / 2
+    index = (value - half - lam_hat) / width * cells
+    assert index.denominator == 1 and 0 <= index < cells
+    return value - half, value + half
+
+
+@pytest.mark.parametrize("n", sorted(NEAR_END_SHA256))
+def test_frontier_near_the_ends_is_certified(n):
+    for lh in _near_ends(n):
+        value = frontier(lh, n)
+        left, right = _grid_cell(lh, n, value)
+        assert mm_lhs(lh, left, n) > 1 >= mm_lhs(lh, right, n), (n, lh)
+
+
+WRONG_GUESS_CASES = [(Fraction(1, 2), 3), (Fraction(97, 100), 5),
+                     (1 - Fraction(1, 10 ** 30), 7),
+                     (Fraction(1, 12) + Fraction(1, 10 ** 15), 12)]
+
+
+@pytest.mark.parametrize("lam_hat, n", WRONG_GUESS_CASES)
+def test_a_wrong_guess_costs_time_never_the_result(monkeypatch, lam_hat, n):
+    want = frontier(lam_hat, n)
+    left, right = _grid_cell(lam_hat, n, want)
+    cell = float(right - left)
+    guesses = [0.0, -1.0, 1e-300, 2.0 ** 1000, math.nan, math.inf, -math.inf,
+               float(lam_hat), float(want) + 1e6 * cell, float(want) - 1e6 * cell,
+               Fraction(10 ** 400)]
+    for guess in guesses:
+        monkeypatch.setattr(spectra, "_frontier_guess", lambda p, q, n, g=guess: g)
+        assert frontier(lam_hat, n) == want, guess
+
+
+def test_a_good_guess_needs_few_sign_tests(monkeypatch):
+    calls = []
+    sign_test = spectra.transference.mm_lhs_exceeds_one
+    monkeypatch.setattr(spectra.transference, "mm_lhs_exceeds_one",
+                        lambda *args: calls.append(args) or sign_test(*args))
+    for n in (3, 5):
+        calls.clear()
+        rows = frontier_rows(n, 401)
+        assert len(calls) <= 8 * (len(rows) - 2), n
+    # outside the closed form lambda < 2^26, so a float guess leaves at most
+    # about 21 bits of the cell index to bisect
+    for n in (3, 4, 7, 12):
+        for k in range(1, 40):
+            calls.clear()
+            frontier(1 - Fraction(1, 10 ** k), n)
+            assert len(calls) <= 40, (n, k, len(calls))
+
+
 # sha256 of the 401-point frontier CSVs, as recorded in bench/golden.json
 FRONTIER_CSV_SHA256 = {
     3: "cbd71ce0cc76933a8d76cd626775260c952b9f9c0e1052129fefcb9143668545",

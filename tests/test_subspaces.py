@@ -399,3 +399,37 @@ def test_dimension_formula_random():
                                for _ in range(rng.randint(1, ambient))], ambient)
         a, b = mk(), mk()
         assert (sum_(a, b).dim + intersect(a, b).dim) == a.dim + b.dim
+
+
+def _ratio_by_sum_and_intersect(a, b):
+    """schmidt_ratio's fields from the saturated sum and intersection."""
+    s, i = sum_(a, b), intersect(a, b)
+    lhs_sq = s.squared_height * i.squared_height
+    rhs_sq = a.squared_height * b.squared_height
+    return {"lhsSq": lhs_sq, "rhsSq": rhs_sq, "ratioSq": Fraction(lhs_sq, rhs_sq),
+            "sumDim": s.dim, "intersectionDim": i.dim}
+
+
+def test_schmidt_ratio_equals_the_sum_and_intersection_route():
+    rng = random.Random(41)
+    spanning = full = trivial = 0
+    for trial in range(600):
+        ambient = rng.randint(2, 7)
+
+        def subspace(k):
+            return saturate([[rng.randint(-5, 5) for _ in range(ambient)]
+                             for _ in range(k)], ambient)
+
+        a = subspace(rng.randint(1, ambient))
+        if trial % 3 == 0:    # A + B = R^N and A cap B = 0
+            b = orthogonal_complement(a)
+        elif trial % 3 == 1:  # small dimensions: mostly A cap B = 0
+            b = subspace(rng.randint(1, max(1, ambient - a.dim)))
+        else:
+            b = subspace(rng.randint(1, ambient))
+        r = schmidt_ratio(a, b)
+        assert r == _ratio_by_sum_and_intersect(a, b), (ambient, a, b)
+        spanning += r["sumDim"] == ambient
+        trivial += r["intersectionDim"] == 0
+        full += r["sumDim"] == ambient and r["intersectionDim"] > 0
+    assert spanning > 200 and trivial > 300 and full > 20

@@ -47,6 +47,17 @@ def test_mm_lhs_infinite_lambda():
         assert mm_lhs(lh, math.inf, 5) == lh
 
 
+def test_mm_lhs_takes_a_lambda_past_the_double_range():
+    # the order check used to convert lam to a float first: OverflowError
+    lam = Fraction(10 ** 400, 3)
+    assert mm_lhs(Fraction(1, 2), lam, 3) == Fraction(1, 2) + Fraction(3, 4 * 10 ** 400) \
+        + Fraction(9, 8 * 10 ** 800)
+    with pytest.raises(DomainError):
+        mm_lhs(Fraction(10 ** 400), Fraction(10 ** 399), 3)
+    with pytest.raises(DomainError):
+        mm_lhs(Fraction(1, 2), -math.inf, 3)
+
+
 def test_mm_lhs_equality_case():
     assert mm_lhs(Fraction(1, 2), Fraction(1, 2), 2) == Fraction(1)
     # 1/n along the Dirichlet corner for every n
