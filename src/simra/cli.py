@@ -30,6 +30,7 @@ from typing import Optional
 from . import (construction, minpoints, model, presets, reporting, rigorous,
                spectra, subspaces, transference)
 from .errors import DomainError, SchemaError, SimraError
+from .ivcalc import midpoint_float, rig_interval
 from .reporting import format_significant, json_canonical, sha256_hex
 
 MANIFEST = "manifest.json"
@@ -231,7 +232,6 @@ def _fit_power(x: Fraction, e: Fraction, constant: str) -> Fraction:
 def _fit_profile(seq, n: int, alpha: Fraction, beta: Fraction,
                  a: Optional[Fraction], b: Optional[Fraction]):
     """Fill missing sandwich constants from the run data with 10% slack."""
-    from .ivcalc import midpoint_float, rig_interval
     fitted = {"a": a is None, "b": b is None}
     if a is None or b is None:
         hi = Fraction(0)
@@ -385,7 +385,6 @@ def _svg_document(col_points: list[tuple[float, float]], x_label: str,
 
 def _cmd_plot(args) -> int:
     seq, manifest = _load_run(args.run)
-    from .ivcalc import midpoint_float, rig_interval
     if args.what == "envelope":
         pts = []
         ents = seq.entries

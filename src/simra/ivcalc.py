@@ -1,118 +1,173 @@
-"""Certified transcendental evaluation on top of mpmath interval arithmetic.
+"""Certified intervals on exact rational ends, with logs and real powers in
+integers.
 
-The exact layer (rigorous.py) handles field operations and square roots; logs
-and general powers come from mpmath.iv, which no other module imports.  These
-wrappers convert Fractions and RigorousReal enclosures into iv intervals
-(`enclose`) without losing the certification: a rational enters as one
-outward-rounded division of its outward-rounded numerator and denominator,
-never through float, and its endpoints are cached.
+A rational enters as [f, f] and a RigorousReal at its 96-bit enclosure; the
+arithmetic is exact.  `iv_log` and `iv_pow` with a non-integer exponent run
+in integer fixed point at PREC working bits plus guard bits: the log as
+e log 2 + 2 atanh((m - 1)/(m + 1)) for q = 2^e m with m near 1, the
+exponential as 2^k exp(r) with 0 <= r < log 2, each by its series (Brent
+and Zimmermann, Modern Computer Arithmetic, 2010, 4.4).  The ends move
+outward by an explicit bound on the rounding and truncation error.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-
-from mpmath import iv, libmp
-from mpmath.libmp import from_int, mpi_div, round_ceiling, round_floor
+from functools import partialmethod
 
 from . import rigorous
 from .errors import DomainError
 
-iv.prec = 192  # generous slack so 1e-10 tolerances are never rounding-bound
+PREC = 192  # working bits: a log or a power is good to about 2^-PREC relative
+_P = PREC + 32  # the kernels' fixed-point bits; the guard bits absorb their error counts
 
 
-@lru_cache(maxsize=4096)
-def _rational_mpi(p: int, q: int, prec: int):
-    """The endpoints of iv.mpf(p) / iv.mpf(q) at prec bits, q > 0: each
-    integer rounded outward, then one outward-rounded interval division."""
-    return mpi_div((from_int(p, prec, round_floor), from_int(p, prec, round_ceiling)),
-                   (from_int(q, prec, round_floor), from_int(q, prec, round_ceiling)),
-                   prec)
+@dataclass(slots=True)
+class Interval:
+    """The closed interval [lo, hi] of two exact rationals, with the endpoint
+    arithmetic of rigorous expressions."""
+
+    lo: Fraction
+    hi: Fraction
+
+    def _op(self, op: str, *others) -> Interval:
+        vals = [(v.lo, v.hi, True) if isinstance(v, Interval)
+                else (Fraction(v), Fraction(v), True) for v in (self, *others)]
+        lo, hi, _ = rigorous._endpoint_op(op, vals, 0)
+        return Interval(lo, hi)
+
+    __add__ = partialmethod(_op, "add")
+    __sub__ = partialmethod(_op, "sub")
+    __mul__ = __rmul__ = partialmethod(_op, "mul")
+    __truediv__ = partialmethod(_op, "div")
+    __neg__ = partialmethod(_op, "neg")
+    __abs__ = partialmethod(_op, "abs")
 
 
-def frac_enclosure(f):
-    """Certified iv enclosure of a single rational."""
+def frac_enclosure(f) -> Interval:
+    """The interval [f, f] of one rational."""
     f = Fraction(f)
-    return iv.make_mpf(_rational_mpi(f.numerator, f.denominator, iv.prec))
+    return Interval(f, f)
 
 
-def frac_interval(lo, hi):
-    """Certified iv enclosure of the interval [lo, hi], rational endpoints."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo == hi:
-        return frac_enclosure(lo)
-    mid = (lo + hi) / 2
-    rad = (hi - lo) / 2
-    return frac_enclosure(mid) + frac_enclosure(rad) * iv.mpf([-1, 1])
-
-
-def rig_interval(x):
-    """iv enclosure of a RigorousReal, refined best-effort toward 2^-96."""
+def rig_interval(x) -> Interval:
+    """The enclosure of a RigorousReal, refined best-effort toward 2^-96."""
     lo, hi, _ = rigorous.enclosure(x, 96)
-    return frac_interval(lo, hi)
+    return Interval(lo, hi)
 
 
-def enclose(v):
-    """The iv enclosure of v: an iv value as it is, a RigorousReal through
+def enclose(v) -> Interval:
+    """The enclosure of v: an Interval as it is, a RigorousReal through
     rig_interval at 96 bits, anything else as one rational."""
-    if isinstance(v, iv.mpf):
+    if isinstance(v, Interval):
         return v
     if isinstance(v, rigorous.RigorousReal):
         return rig_interval(v)
     return frac_enclosure(v)
 
 
-def hull(lo, hi):
-    """The iv interval from the lower end of lo to the upper end of hi."""
-    return iv.mpf([lo.a, hi.b])
+# ---------------------------------------------------------------------------
+# integer kernels, with their error bounds in units of the last place
+
+def _atanh(a: int, b: int, p: int) -> tuple[int, int]:
+    """(s, err) with |s - 2^p atanh(a/b)| <= err, for integers 0 <= 3a <= b.
+    Each power of z = a/b is off by less than 2 units (z^2 <= 1/9 shrinks
+    the error carried), each term of sum z^(2j+1)/(2j+1) by less than 2
+    after its division, and once a power rounds to 0 the rest add below 1."""
+    t, z2 = (a << p) // b, (a * a << p) // (b * b)
+    s, k = t, 1
+    while t:
+        t = t * z2 >> p
+        k += 2
+        s += t // k
+    return s, k + 3 if a else 0
 
 
-def iv_log(x):
-    return iv.log(x)
+_LOG2, _LOG2_ERR = (2 * v for v in _atanh(1, 3, _P))  # log 2 = 2 atanh(1/3)
 
 
-def iv_pow(x, e):
-    if isinstance(e, int):
-        return x ** e
-    return x ** frac_enclosure(Fraction(e))
+def _log(q: Fraction) -> tuple[int, int, int]:
+    """(y, err, p) with |y - 2^p log q| <= err for a rational q > 0, where
+    q = 2^e m with e the integer nearest log2 q.  With e = 0 the fixed point
+    starts at the leading bit of z, so a log near 0 keeps its precision."""
+    e = round(math.log2(q.numerator) - math.log2(q.denominator))
+    num, den = q.numerator << max(-e, 0), q.denominator << max(e, 0)
+    a, b = abs(num - den), num + den  # |z| = a/b < 1/5
+    p = _P if e else _P + b.bit_length() - a.bit_length()
+    s, err = _atanh(a, b, p)
+    return 2 * (s if num > den else -s) + e * _LOG2, 2 * err + abs(e) * _LOG2_ERR, p
 
 
-def _double_beside(end, side: int) -> float:
-    """The raw endpoint end as a double below (side -1) or above (+1) it.
-    Past the normal range libmp.to_float may land on the wrong side (an
-    infinity, 0.0, the nearest subnormal): step back by one double."""
-    f = libmp.to_float(end, rnd="c" if side > 0 else "f")
-    if (not sys.float_info.min <= abs(f) < math.inf
-            and libmp.mpf_cmp(libmp.from_float(f), end) == -side):
-        return math.nextafter(f, side * math.inf)
-    return f
+def _exp(num: int, den: int, side: int) -> Fraction:
+    """The lower (side -1) or upper (side 1) end of exp(num/den), den > 0,
+    from 2^k exp(r) with 0 <= r < log 2.  The fixed-point r is off by at
+    most 1 + |k| _LOG2_ERR units, which moves exp r < 2 by less than twice
+    that; each Taylor term is off by less than 2 units (r < 0.7 shrinks the
+    error carried), and once one rounds to 0 the rest add below 2."""
+    x = (num << _P) // den
+    k = x // _LOG2
+    r = x - k * _LOG2
+    s = u = 1 << _P
+    j = 0
+    while u:
+        j += 1
+        u = (u * r >> _P) // j
+        s += u
+    err = 2 * (j + 3 + abs(k) * _LOG2_ERR) if num else 0
+    return Fraction((s + side * err) << max(k - _P, 0), 1 << max(_P - k, 0))
 
 
-def lower(v) -> float:
-    """Lower endpoint as a float, rounded down (stays a valid lower bound)."""
-    return _double_beside(v._mpi_[0], -1)
+def iv_log(x: Interval) -> Interval:
+    """The enclosure of log over the positive interval x."""
+    if not x.lo > 0:
+        raise DomainError("log or power of an enclosure reaching down to 0")
+    y, err, p = lo = _log(x.lo)
+    z, zerr, zp = lo if x.hi == x.lo else _log(x.hi)
+    return Interval(Fraction(y - err, 1 << p), Fraction(z + zerr, 1 << zp))
 
 
-def upper(v) -> float:
-    """Upper endpoint as a float, rounded up (stays a valid upper bound)."""
-    return _double_beside(v._mpi_[1], 1)
+def iv_pow(x: Interval, e) -> Interval:
+    """x^e over the positive interval x for a rational e = a/b: the exact
+    power for an integer e, else exp(e log x) at the two ends of e log x."""
+    e = Fraction(e)
+    a, b = e.numerator, e.denominator
+    if b == 1 and x.lo > 0:
+        ends = (x.lo ** a, x.hi ** a)
+        return Interval(min(ends), max(ends))
+    t = iv_log(x)  # refuses an x reaching down to 0
+    lo, hi = (t.lo, t.hi) if a > 0 else (t.hi, t.lo)
+    return Interval(_exp(a * lo.numerator, b * lo.denominator, -1),
+                    _exp(a * hi.numerator, b * hi.denominator, 1))
 
 
-def midpoint_float(v) -> float:
-    # float(ivmpf) rounds downward; going through exact endpoint rationals
-    # gives the correctly rounded double of the true midpoint
-    lo, hi = endpoints_fraction(v)
+def _double(q: Fraction, side: int) -> float:
+    """The largest double <= q (side -1) or the least double >= q (side 1);
+    past the double range, the largest finite double or an infinity."""
     try:
-        return float((lo + hi) / 2)
+        f = float(q)
+    except OverflowError:  # the largest finite double, stepped past if on the wrong side
+        f = sys.float_info.max if q > 0 else -sys.float_info.max
+    n, d = f.as_integer_ratio()
+    wrong_side = (n * q.denominator - q.numerator * d) * side < 0
+    return math.nextafter(f, side * math.inf) if wrong_side else f
+
+
+def lower(v: Interval) -> float:
+    """The lower end as a double, rounded down (it stays a lower bound)."""
+    return _double(v.lo, -1)
+
+
+def upper(v: Interval) -> float:
+    """The upper end as a double, rounded up (it stays an upper bound)."""
+    return _double(v.hi, 1)
+
+
+def midpoint_float(v: Interval) -> float:
+    """The double nearest the exact midpoint of v."""
+    try:
+        return float((v.lo + v.hi) / 2)
     except OverflowError:
         raise DomainError("an enclosure midpoint exceeds the double range") from None
-
-
-def endpoints_fraction(v) -> tuple[Fraction, Fraction]:
-    """Exact rational endpoints of an iv value (endpoints are binary floats)."""
-    plo, qlo = libmp.to_rational(v._mpi_[0])
-    phi, qhi = libmp.to_rational(v._mpi_[1])
-    return Fraction(plo, qlo), Fraction(phi, qhi)

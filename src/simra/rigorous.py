@@ -294,20 +294,18 @@ class _AlgebraicLeaf(_Desc):
                     self.a, self.b, self.p = a, b, p
                     break
             p *= 2
-        # A rational root u/v in lowest terms has v | lc, and two such
-        # fractions are at least 1/lc^2 apart: on a narrower interval, the
-        # one of denominator <= |lc| nearest the midpoint is the only
-        # candidate, if it lies inside (a root outside may be nearer).
-        lc = self.coeffs[-1]
-        while self.exact is None and (self.b - self.a) * lc * lc >= 1 << self.p:
+        # A rational root u/v in lowest terms has v | lc, so |lc| times it is
+        # an integer (the rational root theorem): on an interval narrower
+        # than 1/|lc|, the one integer m strictly inside |lc| (a, b) / 2^p
+        # gives the only candidate, m/|lc|.
+        lc = abs(self.coeffs[-1])
+        while self.exact is None and (self.b - self.a) * lc >= 1 << self.p:
             if not self._newton_once():
                 self._bisect_once()
         if self.exact is None:
-            a, b, p = self.a, self.b, self.p
-            u = Fraction(a + b, 1 << (p + 1)).limit_denominator(abs(lc))
-            n, d = u.numerator, u.denominator
-            if a * d < n << p < b * d and _pvalue(self.coeffs, n, d) == 0:
-                self._collapse(u)
+            m = (self.a * lc >> self.p) + 1
+            if m << self.p < self.b * lc and _pvalue(self.coeffs, m, lc) == 0:
+                self._collapse(Fraction(m, lc))
 
     def _collapse(self, value: Fraction) -> None:
         self.exact = value
@@ -393,57 +391,9 @@ class _Expr(_Desc):
         self.args = tuple(args)
 
     def _eval(self, leaf_bits: int, work_bits: int):
-        vals = []
-        for a in self.args:
-            if isinstance(a, _Expr):
-                vals.append(a._eval(leaf_bits, work_bits))
-            else:
-                vals.append(a.enclosure(leaf_bits))
-        op = self.op
-        if op == "add":
-            (alo, ahi, asat), (blo, bhi, bsat) = vals
-            return alo + blo, ahi + bhi, asat and bsat
-        if op == "sub":
-            (alo, ahi, asat), (blo, bhi, bsat) = vals
-            return alo - bhi, ahi - blo, asat and bsat
-        if op == "neg":
-            (alo, ahi, asat), = vals
-            return -ahi, -alo, asat
-        if op == "mul":
-            (alo, ahi, asat), (blo, bhi, bsat) = vals
-            prods = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-            return min(prods), max(prods), asat and bsat
-        if op == "div":
-            (alo, ahi, asat), (blo, bhi, bsat) = vals
-            if blo <= 0 <= bhi:
-                if bsat:
-                    raise DomainError("division by an enclosure containing zero")
-                raise _NeedPrecision
-            quots = (alo / blo, alo / bhi, ahi / blo, ahi / bhi)
-            return min(quots), max(quots), asat and bsat
-        if op == "abs":
-            (alo, ahi, asat), = vals
-            if alo >= 0:
-                return alo, ahi, asat
-            if ahi <= 0:
-                return -ahi, -alo, asat
-            return Fraction(0), max(-alo, ahi), asat
-        if op == "max":
-            lo = max(v[0] for v in vals)
-            hi = max(v[1] for v in vals)
-            # branches certifiably below the max cannot move it: enclosures
-            # only shrink inward, so saturation is decided by the survivors
-            return lo, hi, all(v[2] for v in vals if v[1] >= lo)
-        # sqrt
-        (alo, ahi, asat), = vals
-        if ahi < 0:
-            raise DomainError("square root of a negative enclosure")
-        alo = max(alo, Fraction(0))
-        if asat and alo == ahi:
-            ex = _exact_sqrt(alo)
-            if ex is not None:
-                return ex, ex, True
-        return _sqrt_lower(alo, work_bits), _sqrt_upper(ahi, work_bits), False
+        vals = [a._eval(leaf_bits, work_bits) if isinstance(a, _Expr)
+                else a.enclosure(leaf_bits) for a in self.args]
+        return _endpoint_op(self.op, vals, work_bits)
 
     def _compute(self, bits):
         leaf_bits = bits + 16
@@ -468,6 +418,60 @@ class _Expr(_Desc):
                     )
                 return best
             leaf_bits *= 2
+
+
+def _endpoint_op(op: str, vals: list, work_bits: int):
+    """(lo, hi, saturated) of op on the enclosures vals (lo, hi, saturated),
+    by the endpoint formulas; only a square root rounds, outward, at
+    work_bits.  ivcalc.Interval computes by it too."""
+    if op == "add":
+        (alo, ahi, asat), (blo, bhi, bsat) = vals
+        return alo + blo, ahi + bhi, asat and bsat
+    if op == "sub":
+        (alo, ahi, asat), (blo, bhi, bsat) = vals
+        return alo - bhi, ahi - blo, asat and bsat
+    if op == "neg":
+        (alo, ahi, asat), = vals
+        return -ahi, -alo, asat
+    if op == "mul":
+        (alo, ahi, asat), (blo, bhi, bsat) = vals
+        if alo >= 0 and blo >= 0:
+            return alo * blo, ahi * bhi, asat and bsat
+        prods = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+        return min(prods), max(prods), asat and bsat
+    if op == "div":
+        (alo, ahi, asat), (blo, bhi, bsat) = vals
+        if blo <= 0 <= bhi:
+            if bsat:
+                raise DomainError("division by an enclosure containing zero")
+            raise _NeedPrecision
+        if alo >= 0 and blo > 0:
+            return alo / bhi, ahi / blo, asat and bsat
+        quots = (alo / blo, alo / bhi, ahi / blo, ahi / bhi)
+        return min(quots), max(quots), asat and bsat
+    if op == "abs":
+        (alo, ahi, asat), = vals
+        if alo >= 0:
+            return alo, ahi, asat
+        if ahi <= 0:
+            return -ahi, -alo, asat
+        return Fraction(0), max(-alo, ahi), asat
+    if op == "max":
+        lo = max(v[0] for v in vals)
+        hi = max(v[1] for v in vals)
+        # branches certifiably below the max cannot move it: enclosures
+        # only shrink inward, so saturation is decided by the survivors
+        return lo, hi, all(v[2] for v in vals if v[1] >= lo)
+    # sqrt
+    (alo, ahi, asat), = vals
+    if ahi < 0:
+        raise DomainError("square root of a negative enclosure")
+    alo = max(alo, Fraction(0))
+    if asat and alo == ahi:
+        ex = _exact_sqrt(alo)
+        if ex is not None:
+            return ex, ex, True
+    return _sqrt_lower(alo, work_bits), _sqrt_upper(ahi, work_bits), False
 
 
 # ---------------------------------------------------------------------------

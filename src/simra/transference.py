@@ -38,9 +38,8 @@ from . import minpoints, model
 from .construction import jump_indices
 from .errors import (BeyondCertifiedRange, DomainError, DomainTooShort,
                      SandwichViolated, TooFewPoints)
-from .ivcalc import (enclose, endpoints_fraction, frac_enclosure, hull,
-                     iv_log, iv_pow, lower, midpoint_float, rig_interval,
-                     upper)
+from .ivcalc import (Interval, enclose, frac_enclosure, iv_log, iv_pow, lower,
+                     midpoint_float, rig_interval, upper)
 from .rigorous import RigorousReal
 
 
@@ -164,7 +163,7 @@ def epsilon_delta(a, b, alpha, beta, n: int) -> dict:
 def _positive(x):
     """The enclosure of x, refused unless it lies above 0."""
     xi = enclose(x)
-    if not endpoints_fraction(xi)[0] > 0:
+    if not xi.lo > 0:
         raise DomainError(f"profile functions need X > 0, got {x}")
     return xi
 
@@ -308,11 +307,9 @@ def estimate_exponents_from_pairs(pairs: Sequence[tuple], n: int,
     if not unis:
         raise TooFewPoints("the tail window has no successor entries")
 
-    # the endpoint-wise max and min, each end picked by its exact value
-    def end(j):
-        return lambda v: endpoints_fraction(v)[j]
-    lam = hull(max(ords, key=end(0)), max(ords, key=end(1)))
-    hat = hull(min(unis, key=end(0)), min(unis, key=end(1)))
+    # the endpoint-wise max and min
+    lam = Interval(max(v.lo for v in ords), max(v.hi for v in ords))
+    hat = Interval(min(v.lo for v in unis), min(v.hi for v in unis))
     return ExponentEstimate(
         n=n,
         lambda_est=midpoint_float(lam),

@@ -550,7 +550,13 @@ def test_an_exact_dyadic_root_collapses(lo, hi):
 @pytest.mark.parametrize("coeffs, lo, hi, root", [
     ([6, -16, -3, 8], Fraction(1, 3), Fraction(1), Fraction(3, 8)),  # (8x - 3)(x^2 - 2)
     ([2, -6, -1, 3], Fraction(0), Fraction(1), Fraction(1, 3)),  # (3x - 1)(x^2 - 2)
-], ids=["3/8", "1/3"])
+    # reduced denominators that properly divide lc = +-6
+    ([7, -14, -3, 6], Fraction(1, 3), Fraction(3, 5), Fraction(1, 2)),  # (2x - 1)(3x^2 - 7)
+    ([-7, 14, 3, -6], Fraction(1, 3), Fraction(3, 5), Fraction(1, 2)),
+    ([7, -21, -2, 6], Fraction(0), Fraction(1), Fraction(1, 3)),  # (3x - 1)(2x^2 - 7)
+    ([-7, 21, 2, -6], Fraction(0), Fraction(1), Fraction(1, 3)),
+], ids=["3/8", "1/3", "1/2-of-lc-6", "1/2-of-lc-minus-6", "1/3-of-lc-6",
+        "1/3-of-lc-minus-6"])
 def test_a_rational_root_is_exact(cls, coeffs, lo, hi, root):
     leaf = cls(coeffs, lo, hi)
     assert leaf.exact == root
