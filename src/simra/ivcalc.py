@@ -1,13 +1,8 @@
 """Certified intervals on exact rational ends, with logs and real powers in
-integers.
-
-A rational enters as [f, f] and a RigorousReal at its 96-bit enclosure; the
-arithmetic is exact.  `iv_log` and `iv_pow` with a non-integer exponent run
-in integer fixed point at PREC working bits plus guard bits: the log as
-e log 2 + 2 atanh((m - 1)/(m + 1)) for q = 2^e m with m near 1, the
-exponential as 2^k exp(r) with 0 <= r < log 2, each by its series (Brent
-and Zimmermann, Modern Computer Arithmetic, 2010, 4.4).  The ends move
-outward by an explicit bound on the rounding and truncation error.
+integers (Brent and Zimmermann, Modern Computer Arithmetic, 2010, 4.4): log q
+as e log 2 + 2 atanh((m - 1)/(m + 1)) for q = 2^e m with m near 1, exp as
+2^k exp(r) with 0 <= r < log 2, each series in fixed point at PREC working
+bits plus guard bits, its ends moved outward by an explicit error bound.
 """
 
 from __future__ import annotations
@@ -23,21 +18,19 @@ from .errors import DomainError
 
 PREC = 192  # working bits: a log or a power is good to about 2^-PREC relative
 _P = PREC + 32  # the kernels' fixed-point bits; the guard bits absorb their error counts
+_MAX = int(sys.float_info.max)  # the largest finite double, exactly
 
 
 @dataclass(slots=True)
 class Interval:
-    """The closed interval [lo, hi] of two exact rationals, with the endpoint
-    arithmetic of rigorous expressions."""
+    """[lo, hi] on exact rationals, by the endpoint formulas of rigorous."""
 
     lo: Fraction
     hi: Fraction
 
     def _op(self, op: str, *others) -> Interval:
-        vals = [(v.lo, v.hi, True) if isinstance(v, Interval)
-                else (Fraction(v), Fraction(v), True) for v in (self, *others)]
-        lo, hi, _ = rigorous._endpoint_op(op, vals, 0)
-        return Interval(lo, hi)
+        vals = [(v.lo, v.hi, True) for v in (self, *map(enclose, others))]
+        return Interval(*rigorous._endpoint_op(op, vals, 0)[:2])
 
     __add__ = partialmethod(_op, "add")
     __sub__ = partialmethod(_op, "sub")
@@ -49,34 +42,26 @@ class Interval:
 
 def frac_enclosure(f) -> Interval:
     """The interval [f, f] of one rational."""
-    f = Fraction(f)
-    return Interval(f, f)
+    return Interval(Fraction(f), Fraction(f))
 
 
 def rig_interval(x) -> Interval:
     """The enclosure of a RigorousReal, refined best-effort toward 2^-96."""
-    lo, hi, _ = rigorous.enclosure(x, 96)
-    return Interval(lo, hi)
+    return Interval(*rigorous.enclosure(x, 96)[:2])
 
 
 def enclose(v) -> Interval:
-    """The enclosure of v: an Interval as it is, a RigorousReal through
-    rig_interval at 96 bits, anything else as one rational."""
-    if isinstance(v, Interval):
-        return v
+    """v as an Interval: itself, rig_interval of a RigorousReal, or [v, v]."""
     if isinstance(v, rigorous.RigorousReal):
         return rig_interval(v)
-    return frac_enclosure(v)
+    return v if isinstance(v, Interval) else frac_enclosure(v)
 
-
-# ---------------------------------------------------------------------------
-# integer kernels, with their error bounds in units of the last place
 
 def _atanh(a: int, b: int, p: int) -> tuple[int, int]:
     """(s, err) with |s - 2^p atanh(a/b)| <= err, for integers 0 <= 3a <= b.
-    Each power of z = a/b is off by less than 2 units (z^2 <= 1/9 shrinks
-    the error carried), each term of sum z^(2j+1)/(2j+1) by less than 2
-    after its division, and once a power rounds to 0 the rest add below 1."""
+    Each power of z = a/b is off by under 2 units of 2^-p (z^2 <= 1/9 shrinks
+    the error carried), each term of sum z^(2j+1)/(2j+1) by under 2 after its
+    division, and once a power rounds to 0 the rest add below 1."""
     t, z2 = (a << p) // b, (a * a << p) // (b * b)
     s, k = t, 1
     while t:
@@ -90,9 +75,8 @@ _LOG2, _LOG2_ERR = (2 * v for v in _atanh(1, 3, _P))  # log 2 = 2 atanh(1/3)
 
 
 def _log(q: Fraction) -> tuple[int, int, int]:
-    """(y, err, p) with |y - 2^p log q| <= err for a rational q > 0, where
-    q = 2^e m with e the integer nearest log2 q.  With e = 0 the fixed point
-    starts at the leading bit of z, so a log near 0 keeps its precision."""
+    """(y, err, p), |y - 2^p log q| <= err, for q = 2^e m > 0 with e nearest
+    log2 q; at e = 0, p follows z's leading bit, so log q near 0 stays precise."""
     e = round(math.log2(q.numerator) - math.log2(q.denominator))
     num, den = q.numerator << max(-e, 0), q.denominator << max(e, 0)
     a, b = abs(num - den), num + den  # |z| = a/b < 1/5
@@ -101,22 +85,20 @@ def _log(q: Fraction) -> tuple[int, int, int]:
     return 2 * (s if num > den else -s) + e * _LOG2, 2 * err + abs(e) * _LOG2_ERR, p
 
 
-def _exp(num: int, den: int, side: int) -> Fraction:
-    """The lower (side -1) or upper (side 1) end of exp(num/den), den > 0,
-    from 2^k exp(r) with 0 <= r < log 2.  The fixed-point r is off by at
-    most 1 + |k| _LOG2_ERR units, which moves exp r < 2 by less than twice
-    that; each Taylor term is off by less than 2 units (r < 0.7 shrinks the
-    error carried), and once one rounds to 0 the rest add below 2."""
-    x = (num << _P) // den
-    k = x // _LOG2
-    r = x - k * _LOG2
+def _exp(e: Fraction, t: Fraction, side: int) -> Fraction:
+    """The lower (side -1) or upper (side 1) end of exp(e t), from 2^k exp(r)
+    with 0 <= r < log 2.  The fixed-point r is off by at most 1 + |k|
+    _LOG2_ERR units, which moves exp r < 2 by less than twice that; each
+    Taylor term is off by less than 2 units (r < 0.7 shrinks the error
+    carried), and once one rounds to 0 the rest add below 2."""
+    k, r = divmod((e.numerator * t.numerator << _P) // (e.denominator * t.denominator), _LOG2)
     s = u = 1 << _P
     j = 0
     while u:
         j += 1
         u = (u * r >> _P) // j
         s += u
-    err = 2 * (j + 3 + abs(k) * _LOG2_ERR) if num else 0
+    err = 2 * (j + 3 + abs(k) * _LOG2_ERR) if t else 0
     return Fraction((s + side * err) << max(k - _P, 0), 1 << max(_P - k, 0))
 
 
@@ -130,29 +112,23 @@ def iv_log(x: Interval) -> Interval:
 
 
 def iv_pow(x: Interval, e) -> Interval:
-    """x^e over the positive interval x for a rational e = a/b: the exact
-    power for an integer e, else exp(e log x) at the two ends of e log x."""
+    """x^e over the positive interval x for a rational e: the exact power
+    for an integer e, else exp(e log x) at the two ends of e log x."""
     e = Fraction(e)
-    a, b = e.numerator, e.denominator
-    if b == 1 and x.lo > 0:
-        ends = (x.lo ** a, x.hi ** a)
-        return Interval(min(ends), max(ends))
+    if e.denominator == 1 and x.lo > 0:
+        return Interval(*sorted((x.lo ** e.numerator, x.hi ** e.numerator)))
     t = iv_log(x)  # refuses an x reaching down to 0
-    lo, hi = (t.lo, t.hi) if a > 0 else (t.hi, t.lo)
-    return Interval(_exp(a * lo.numerator, b * lo.denominator, -1),
-                    _exp(a * hi.numerator, b * hi.denominator, 1))
+    lo, hi = (t.lo, t.hi) if e > 0 else (t.hi, t.lo)
+    return Interval(_exp(e, lo, -1), _exp(e, hi, 1))
 
 
 def _double(q: Fraction, side: int) -> float:
     """The largest double <= q (side -1) or the least double >= q (side 1);
     past the double range, the largest finite double or an infinity."""
-    try:
-        f = float(q)
-    except OverflowError:  # the largest finite double, stepped past if on the wrong side
-        f = sys.float_info.max if q > 0 else -sys.float_info.max
-    n, d = f.as_integer_ratio()
-    wrong_side = (n * q.denominator - q.numerator * d) * side < 0
-    return math.nextafter(f, side * math.inf) if wrong_side else f
+    n, d = q.numerator, q.denominator
+    f = max(-d * _MAX, min(n, d * _MAX)) / d  # n / d, clamped to the double range
+    a, b = f.as_integer_ratio()
+    return math.nextafter(f, side * math.inf) if side * (a * d - n * b) < 0 else f
 
 
 def lower(v: Interval) -> float:

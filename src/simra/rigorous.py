@@ -421,9 +421,7 @@ class _Expr(_Desc):
 
 
 def _endpoint_op(op: str, vals: list, work_bits: int):
-    """(lo, hi, saturated) of op on the enclosures vals (lo, hi, saturated),
-    by the endpoint formulas; only a square root rounds, outward, at
-    work_bits.  ivcalc.Interval computes by it too."""
+    """(lo, hi, saturated) of op on enclosures vals; sqrt rounds outward at work_bits."""
     if op == "add":
         (alo, ahi, asat), (blo, bhi, bsat) = vals
         return alo + blo, ahi + bhi, asat and bsat
@@ -435,8 +433,6 @@ def _endpoint_op(op: str, vals: list, work_bits: int):
         return -ahi, -alo, asat
     if op == "mul":
         (alo, ahi, asat), (blo, bhi, bsat) = vals
-        if alo >= 0 and blo >= 0:
-            return alo * blo, ahi * bhi, asat and bsat
         prods = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
         return min(prods), max(prods), asat and bsat
     if op == "div":
@@ -445,8 +441,6 @@ def _endpoint_op(op: str, vals: list, work_bits: int):
             if bsat:
                 raise DomainError("division by an enclosure containing zero")
             raise _NeedPrecision
-        if alo >= 0 and blo > 0:
-            return alo / bhi, ahi / blo, asat and bsat
         quots = (alo / blo, alo / bhi, ahi / blo, ahi / bhi)
         return min(quots), max(quots), asat and bsat
     if op == "abs":

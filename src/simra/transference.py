@@ -307,7 +307,6 @@ def estimate_exponents_from_pairs(pairs: Sequence[tuple], n: int,
     if not unis:
         raise TooFewPoints("the tail window has no successor entries")
 
-    # the endpoint-wise max and min
     lam = Interval(max(v.lo for v in ords), max(v.hi for v in ords))
     hat = Interval(min(v.lo for v in unis), min(v.hi for v in unis))
     return ExponentEstimate(

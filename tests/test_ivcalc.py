@@ -56,8 +56,7 @@ def test_enclose_matches_the_expressions_it_replaces():
 
 def test_arithmetic_matches_the_four_end_formulas():
     """Each operation gives the ends of the textbook formulas: the least and
-    the greatest of the four end products (quotients), whatever the signs,
-    so the two-end shortcut for nonnegative operands changes nothing."""
+    the greatest of the four end products (quotients), whatever the signs."""
     rng = random.Random(24)
 
     def rand_interval():
@@ -68,10 +67,9 @@ def test_arithmetic_matches_the_four_end_formulas():
         values = list(values)
         return Interval(min(values), max(values))
 
-    shortcuts = divisions = 0
+    divisions = 0
     for _ in range(2000):
         x, y = rand_interval(), rand_interval()
-        shortcuts += x.lo >= 0 and y.lo >= 0
         assert x + y == Interval(x.lo + y.lo, x.hi + y.hi)
         assert x - y == Interval(x.lo - y.hi, x.hi - y.lo)
         assert -x == Interval(-x.hi, -x.lo)
@@ -84,7 +82,7 @@ def test_arithmetic_matches_the_four_end_formulas():
         else:
             divisions += 1
             assert x / y == hull(a / b for a in (x.lo, x.hi) for b in (y.lo, y.hi))
-    assert shortcuts > 300 and divisions > 1000
+    assert divisions > 1000
     # plain rationals are coerced, on either side of a product
     half = Interval(Fraction(1, 3), Fraction(1, 2))
     assert half / 2 == Interval(Fraction(1, 6), Fraction(1, 4)) == 1 * half / 2
