@@ -7,9 +7,15 @@ against its recorded hash, read the sequence back from it (nothing is
 re-enumerated), and add their own artifacts to the manifest.  `verify`
 re-certifies a run's sequence from scratch.
 
+Each subcommand is a function from its parsed flags to its output: a run
+subcommand gets the run's sequence and returns (artifact name, report,
+stdout line); any other returns its text or report.  `main` alone reads and
+writes run directories, serializes reports, and writes to --out or stdout.
+
 All decimal output is fixed at 15 significant digits and dictionary keys are
-sorted, so identical flags give byte-identical files.  Module errors exit
-nonzero after printing a one-object error JSON to stdout.
+sorted, so identical flags give byte-identical files.  Module errors, and a
+numeric flag that is not a rational (SchemaError), exit nonzero after
+printing a one-object error JSON to stdout.
 
 Environment: SIMRA_PRECISION_CAP sets the one precision cap in bits (default
 4096); `enumerate` records the cap in force in the manifest.
@@ -27,8 +33,8 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import (construction, minpoints, model, presets, reporting, rigorous,
-               spectra, subspaces, transference)
+from . import (construction, minpoints, model, presets, rigorous, spectra,
+               subspaces, transference)
 from .errors import DomainError, SchemaError, SimraError
 from .ivcalc import midpoint_float, rig_interval
 from .reporting import format_significant, json_canonical, sha256_hex
@@ -50,76 +56,52 @@ def _fixed(obj):
     return obj
 
 
+def _rational(text) -> Fraction:
+    """A rational flag or manifest field; SchemaError naming what is not one."""
+    try:
+        return Fraction(str(text))
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError(f"{text!r} is not a rational number") from None
+
+
 def _write_text(path: str, text: str) -> str:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(text)
     return "sha256:" + sha256_hex(text.encode("utf-8"))
 
 
-def _manifest_path(run_dir: str) -> str:
-    return os.path.join(run_dir, MANIFEST)
-
-
-def _read_manifest(run_dir: str) -> dict:
-    path = _manifest_path(run_dir)
-    if not os.path.exists(path):
-        raise DomainError(f"{run_dir} has no {MANIFEST}; not a run directory")
+def _read_json(path: str, what: str):
     with open(path, "r", encoding="utf-8") as f:
         try:
             return json.load(f)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"unreadable manifest: {e}") from None
-
-
-def _update_manifest(run_dir: str, manifest: dict, name: str, digest: str) -> None:
-    manifest.setdefault("files", {})[name] = digest
-    _write_text(_manifest_path(run_dir), json_canonical(manifest))
-
-
-def _emit(args, text: str) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        _write_text(out, text)
-    else:
-        sys.stdout.write(text)
+        except ValueError as e:  # not JSON, or not UTF-8
+            raise SchemaError(f"{what}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
 # enumerate and run loading
 
-def _config_doc(args) -> dict:
-    if getattr(args, "preset", None):
-        return presets.preset_config(args.preset)
-    with open(args.config, "r", encoding="utf-8") as f:
-        try:
-            return json.load(f)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"configuration is not valid JSON: {e}") from None
-
-
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> str:
     cap = rigorous.precision_cap()
-    doc = _config_doc(args)
+    doc = (presets.preset_config(args.preset) if args.preset else
+           _read_json(args.config, "configuration is not valid JSON"))
     target, approx = model.load_target(doc)
-    x_max = Fraction(args.xmax)
-    seq = minpoints.enumerate_minimal_points(target, approx, x_max)
-    os.makedirs(args.out, exist_ok=True)
+    seq = minpoints.enumerate_minimal_points(target, approx, args.xmax)
+    os.makedirs(args.run_dir, exist_ok=True)
     buf = io.StringIO()
     minpoints.write_csv(seq, buf)
-    digest = _write_text(os.path.join(args.out, POINTS_CSV), buf.getvalue())
+    csv_path = os.path.join(args.run_dir, POINTS_CSV)
     manifest = {
         "tool": "simra",
         "command": "enumerate",
         "config": doc,
-        "xMax": str(x_max),
+        "xMax": str(args.xmax),
         "cap": cap,
         "entries": len(seq.entries),
-        "files": {POINTS_CSV: digest},
+        "files": {POINTS_CSV: _write_text(csv_path, buf.getvalue())},
     }
-    _write_text(_manifest_path(args.out), json_canonical(manifest))
-    sys.stdout.write(f"{len(seq.entries)} minimal points -> "
-                     f"{os.path.join(args.out, POINTS_CSV)}\n")
-    return 0
+    _write_text(os.path.join(args.run_dir, MANIFEST), json_canonical(manifest))
+    return f"{len(seq.entries)} minimal points -> {csv_path}\n"
 
 
 def _load_run(run_dir: str):
@@ -130,7 +112,10 @@ def _load_run(run_dir: str):
     entries.  The enumeration is not repeated; `simra verify --run`
     re-certifies the sequence.
     """
-    manifest = _read_manifest(run_dir)
+    path = os.path.join(run_dir, MANIFEST)
+    if not os.path.exists(path):
+        raise DomainError(f"{run_dir} has no {MANIFEST}; not a run directory")
+    manifest = _read_json(path, "unreadable manifest")
     for key in ("config", "xMax", "entries"):
         if key not in manifest:
             raise SchemaError(f"manifest lacks {key!r}")
@@ -152,15 +137,14 @@ def _load_run(run_dir: str):
     except UnicodeDecodeError as e:
         raise SchemaError(f"{csv_path} is not UTF-8: {e}") from None
     text.name = csv_path
-    seq = minpoints.read_csv(target, approx, Fraction(manifest["xMax"]), text)
+    seq = minpoints.read_csv(target, approx, _rational(manifest["xMax"]), text)
     if len(seq.entries) != manifest["entries"]:
         raise SchemaError(f"{csv_path} has {len(seq.entries)} rows, the manifest "
                           f"records {manifest['entries']} entries")
     return seq, manifest
 
 
-def _cmd_verify(args) -> int:
-    seq, manifest = _load_run(args.run)
+def _cmd_verify(args, seq):
     minpoints.verify_properties(seq)
     checked = minpoints.verify_minimality(seq)
     report = {
@@ -171,21 +155,16 @@ def _cmd_verify(args) -> int:
                        "upToX": str(seq.x_max),
                        "candidatesBelowLastEntry": checked},
     }
-    name = "verify.json"
-    digest = _write_text(os.path.join(args.run, name), json_canonical(report))
-    _update_manifest(args.run, manifest, name, digest)
-    sys.stdout.write(f"{len(seq.entries)} minimal points certified up to "
-                     f"X = {seq.x_max}\n")
-    return 0
+    return ("verify.json", report,
+            f"{len(seq.entries)} minimal points certified up to X = {seq.x_max}")
 
 
 # ---------------------------------------------------------------------------
 # analysis subcommands on runs
 
-def _cmd_exponents(args) -> int:
-    seq, manifest = _load_run(args.run)
-    est = transference.estimate_exponents(seq, Fraction(args.tail))
-    report = _fixed({
+def _cmd_exponents(args, seq):
+    est = transference.estimate_exponents(seq, args.tail)
+    report = {
         "lambdaEst": est.lambda_est,
         "lambdaHatEst": est.lambda_hat_est,
         "lambdaEnclosure": list(est.lambda_enclosure),
@@ -194,28 +173,21 @@ def _cmd_exponents(args) -> int:
         "windowSize": est.window_size,
         "ordinarySeries": est.ordinary_series,
         "uniformSeries": est.uniform_series,
-        "tailFraction": str(Fraction(args.tail)),
-    })
-    name = "exponents.json"
-    digest = _write_text(os.path.join(args.run, name), json_canonical(report))
-    _update_manifest(args.run, manifest, name, digest)
-    sys.stdout.write(f"lambda_est {report['lambdaEst']}  "
-                     f"lambda_hat_est {report['lambdaHatEst']}\n")
-    return 0
+        "tailFraction": args.tail,
+    }
+    return ("exponents.json", report,
+            f"lambda_est {format_significant(est.lambda_est)}  "
+            f"lambda_hat_est {format_significant(est.lambda_hat_est)}")
 
 
-def _cmd_construct(args) -> int:
-    seq, manifest = _load_run(args.run)
+def _cmd_construct(args, seq):
     indices = construction.select_indices(seq, args.i0)
     fam = construction.build_subspace_family(seq, indices)
     report = construction.family_report(fam, seq)
-    name = f"family_i0_{args.i0}.json"
-    digest = _write_text(os.path.join(args.run, name), json_canonical(_fixed(report)))
-    _update_manifest(args.run, manifest, name, digest)
     ok = report["identities"]["allPass"]
-    sys.stdout.write(f"family at i0={args.i0}: indices {indices}, "
-                     f"identities {'pass' if ok else 'FAIL'}\n")
-    return 0
+    return (f"family_i0_{args.i0}.json", report,
+            f"family at i0={args.i0}: indices {indices}, "
+            f"identities {'pass' if ok else 'FAIL'}")
 
 
 def _fit_power(x: Fraction, e: Fraction, constant: str) -> Fraction:
@@ -229,7 +201,7 @@ def _fit_power(x: Fraction, e: Fraction, constant: str) -> Fraction:
             f"range at X = {float(x):.6g}; pass --{constant}") from None
 
 
-def _fit_profile(seq, n: int, alpha: Fraction, beta: Fraction,
+def _fit_profile(seq, alpha: Fraction, beta: Fraction,
                  a: Optional[Fraction], b: Optional[Fraction]):
     """Fill missing sandwich constants from the run data with 10% slack."""
     fitted = {"a": a is None, "b": b is None}
@@ -252,72 +224,51 @@ def _fit_profile(seq, n: int, alpha: Fraction, beta: Fraction,
             a = (hi * Fraction(11, 10)).limit_denominator(10 ** 9)
         if b is None:
             b = (lo * Fraction(9, 10)).limit_denominator(10 ** 9)
-    profile = transference.TransferenceProfile(n, a, b, alpha, beta)
+    profile = transference.TransferenceProfile(seq.target.n, a, b, alpha, beta)
     return profile, fitted
 
 
-def _cmd_transfer(args) -> int:
-    seq, manifest = _load_run(args.run)
-    n = seq.target.n
-    alpha, beta = Fraction(args.alpha), Fraction(args.beta)
-    a = Fraction(args.a) if args.a is not None else None
-    b = Fraction(args.b) if args.b is not None else None
-    profile, fitted = _fit_profile(seq, n, alpha, beta, a, b)
+def _cmd_transfer(args, seq):
+    profile, fitted = _fit_profile(seq, args.alpha, args.beta, args.a, args.b)
     report = transference.check_sandwich(seq, profile, grid_count=args.grid)
     report["constantsFitted"] = fitted
-    name = "transfer.json"
-    digest = _write_text(os.path.join(args.run, name),
-                         json_canonical(_fixed(report)))
-    _update_manifest(args.run, manifest, name, digest)
-    sys.stdout.write(f"sandwich holds on every envelope step up to X = {seq.x_max}; "
-                     f"empirical floor of the top product "
-                     f"{format_significant(report['empiricalC'])}\n")
-    return 0
+    return ("transfer.json", report,
+            f"sandwich holds on every envelope step up to X = {seq.x_max}; "
+            f"empirical floor of the top product "
+            f"{format_significant(report['empiricalC'])}")
 
 
-def _cmd_extremal(args) -> int:
-    seq, manifest = _load_run(args.run)
+def _cmd_extremal(args, seq):
     pts = [e.point.coords for e in seq.entries]
     report = transference.verify_extremal_sequence(
-        pts, seq, Fraction(args.alpha), Fraction(args.beta), Fraction(args.eps),
-        Fraction(args.C))
-    name = "extremal.json"
-    digest = _write_text(os.path.join(args.run, name),
-                         json_canonical(_fixed(report)))
-    _update_manifest(args.run, manifest, name, digest)
-    sys.stdout.write(f"conditions {'all pass' if report['allPass'] else 'FAIL'} "
-                     f"(threshold ok: {report['thresholdOK']})\n")
-    return 0
+        pts, seq, args.alpha, args.beta, args.eps, args.C)
+    return ("extremal.json", report,
+            f"conditions {'all pass' if report['allPass'] else 'FAIL'} "
+            f"(threshold ok: {report['thresholdOK']})")
 
 
 # ---------------------------------------------------------------------------
 # standalone tables and reports
 
-def _cmd_frontier(args) -> int:
+def _cmd_frontier(args) -> str:
     buf = io.StringIO()
     spectra.write_frontier_csv(buf, args.n, args.grid)
-    _emit(args, buf.getvalue())
-    return 0
+    return buf.getvalue()
 
 
-def _cmd_lambda_n(args) -> int:
-    if args.out:
-        buf = io.StringIO()
-        spectra.write_lambda_csv(buf, args.n)
-        _emit(args, buf.getvalue())
-    else:
-        val = spectra.lambda_n(args.n)
-        sys.stdout.write(format_significant(float(val)) + "\n")
-    return 0
+def _cmd_lambda_n(args) -> str:
+    if not args.out:
+        return format_significant(float(spectra.lambda_n(args.n))) + "\n"
+    buf = io.StringIO()
+    spectra.write_lambda_csv(buf, args.n)
+    return buf.getvalue()
 
 
-def _cmd_schmidt_fuzz(args) -> int:
-    report = subspaces.schmidt_fuzz(args.dim, args.count, args.seed)
-    _emit(args, json_canonical(_fixed(report)))
-    return 0
+def _cmd_schmidt_fuzz(args) -> dict:
+    return subspaces.schmidt_fuzz(args.dim, args.count, args.seed)
 
 
-def _cmd_liouville(args) -> int:
+def _cmd_liouville(args) -> dict:
     try:
         coeffs = [int(c) for c in args.minpoly.split(",")]
     except ValueError as e:
@@ -328,9 +279,7 @@ def _cmd_liouville(args) -> int:
     lo, hi = ends
     theta_doc = {"type": "algebraic", "minpoly": coeffs, "interval": [lo, hi]}
     extra_doc = {"type": "decimal", "value": args.extra}
-    report = spectra.liouville_preset(theta_doc, extra_doc, Fraction(args.xmax))
-    _emit(args, json_canonical(_fixed(report)))
-    return 0
+    return spectra.liouville_preset(theta_doc, extra_doc, args.xmax)
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +332,7 @@ def _svg_document(col_points: list[tuple[float, float]], x_label: str,
 """
 
 
-def _cmd_plot(args) -> int:
-    seq, manifest = _load_run(args.run)
+def _cmd_plot(args, seq):
     if args.what == "envelope":
         pts = []
         ents = seq.entries
@@ -409,14 +357,11 @@ def _cmd_plot(args) -> int:
         doc = _svg_document(pts, "uniform exponent", "ordinary exponent",
                             f"admissible exponent boundary, n={n}")
         name = "frontier.svg"
-    digest = _write_text(os.path.join(args.run, name), doc)
-    _update_manifest(args.run, manifest, name, digest)
-    sys.stdout.write(f"wrote {os.path.join(args.run, name)}\n")
-    return 0
+    return name, doc, f"wrote {os.path.join(args.run, name)}"
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser and dispatch
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -425,45 +370,40 @@ def _build_parser() -> argparse.ArgumentParser:
                     "for simultaneous rational approximation")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
+    def on_run(name: str, func, summary: str) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=summary)
+        sp.add_argument("--run", required=True, help="run directory made by enumerate")
+        sp.set_defaults(func=func)
+        return sp
+
     e = sub.add_parser("enumerate", help="enumerate minimal points into a run directory")
     g = e.add_mutually_exclusive_group(required=True)
     g.add_argument("--config", help="target configuration JSON file")
     g.add_argument("--preset", choices=presets.preset_names(),
                    help="named built-in target")
-    e.add_argument("--xmax", required=True, help="norm bound (rational)")
-    e.add_argument("--out", required=True, help="run directory to create")
+    e.add_argument("--xmax", type=_rational, required=True, help="norm bound (rational)")
+    e.add_argument("--out", dest="run_dir", required=True, help="run directory to create")
     e.set_defaults(func=_cmd_enumerate)
 
-    x = sub.add_parser("exponents", help="estimate the exponent pair from a run")
-    x.add_argument("--run", required=True)
-    x.add_argument("--tail", default="1/2", help="tail fraction of entries used")
-    x.set_defaults(func=_cmd_exponents)
+    x = on_run("exponents", _cmd_exponents, "estimate the exponent pair from a run")
+    x.add_argument("--tail", type=_rational, default="1/2",
+                   help="tail fraction of entries used")
 
-    c = sub.add_parser("construct", help="build and verify the subspace family at i0")
-    c.add_argument("--run", required=True)
+    c = on_run("construct", _cmd_construct, "build and verify the subspace family at i0")
     c.add_argument("--i0", type=int, required=True)
-    c.set_defaults(func=_cmd_construct)
 
-    t = sub.add_parser("transfer", help="check a sandwich profile against a run")
-    t.add_argument("--run", required=True)
-    t.add_argument("--alpha", required=True)
-    t.add_argument("--beta", required=True)
-    t.add_argument("--a", default=None, help="upper constant (fitted if omitted)")
-    t.add_argument("--b", default=None, help="lower constant (fitted if omitted)")
+    t = on_run("transfer", _cmd_transfer, "check a sandwich profile against a run")
+    t.add_argument("--alpha", type=_rational, required=True)
+    t.add_argument("--beta", type=_rational, required=True)
+    t.add_argument("--a", type=_rational, help="upper constant (fitted if omitted)")
+    t.add_argument("--b", type=_rational, help="lower constant (fitted if omitted)")
     t.add_argument("--grid", type=int, default=64)
-    t.set_defaults(func=_cmd_transfer)
 
-    ex = sub.add_parser("extremal", help="structural conditions on the run's points")
-    ex.add_argument("--run", required=True)
-    ex.add_argument("--alpha", required=True)
-    ex.add_argument("--beta", required=True)
-    ex.add_argument("--eps", required=True)
-    ex.add_argument("--C", required=True)
-    ex.set_defaults(func=_cmd_extremal)
+    ex = on_run("extremal", _cmd_extremal, "structural conditions on the run's points")
+    for flag in ("--alpha", "--beta", "--eps", "--C"):
+        ex.add_argument(flag, type=_rational, required=True)
 
-    v = sub.add_parser("verify", help="re-certify a run's minimal points up to its xMax")
-    v.add_argument("--run", required=True)
-    v.set_defaults(func=_cmd_verify)
+    on_run("verify", _cmd_verify, "re-certify a run's minimal points up to its xMax")
 
     fr = sub.add_parser("frontier", help="boundary curve CSV of the exponent spectrum")
     fr.add_argument("--n", type=int, required=True)
@@ -488,27 +428,42 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="comma-separated integer coefficients, low degree first")
     lv.add_argument("--interval", required=True, help="root bracket 'lo,hi'")
     lv.add_argument("--extra", required=True, help="decimal literal extra coordinate")
-    lv.add_argument("--xmax", required=True)
+    lv.add_argument("--xmax", type=_rational, required=True)
     lv.add_argument("--out", default=None)
     lv.set_defaults(func=_cmd_liouville)
 
-    pl = sub.add_parser("plot", help="SVG staircase or spectrum boundary for a run")
-    pl.add_argument("--run", required=True)
+    pl = on_run("plot", _cmd_plot, "SVG staircase or spectrum boundary for a run")
     pl.add_argument("--what", choices=("envelope", "frontier"), required=True)
-    pl.set_defaults(func=_cmd_plot)
 
     return p
 
 
+def _serialized(output) -> str:
+    return output if isinstance(output, str) else json_canonical(_fixed(output))
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    # the parser is about 470 objects in reference cycles: collect them now,
-    # not at the collector's next pass, which may fall under the command's
-    # peak memory
-    gc.collect(1)
     try:
-        return args.func(args)
-    except (SimraError, OSError, ValueError, ZeroDivisionError) as e:
+        args = _build_parser().parse_args(argv)
+        # the parser is about 470 objects in reference cycles: collect them
+        # now, not at the collector's next pass, which may fall under the
+        # command's peak memory
+        gc.collect(1)
+        if "run" in vars(args):
+            seq, manifest = _load_run(args.run)
+            name, report, line = args.func(args, seq)
+            manifest.setdefault("files", {})[name] = _write_text(
+                os.path.join(args.run, name), _serialized(report))
+            _write_text(os.path.join(args.run, MANIFEST), json_canonical(manifest))
+            sys.stdout.write(line + "\n")
+            return 0
+        text = _serialized(args.func(args))
+        if getattr(args, "out", None):
+            _write_text(args.out, text)
+        else:
+            sys.stdout.write(text)
+        return 0
+    except (SimraError, OSError) as e:
         sys.stdout.write(json_canonical(
             {"error": {"type": type(e).__name__, "message": str(e)}}))
         return 1

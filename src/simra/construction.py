@@ -26,6 +26,7 @@ from typing import Optional, Sequence, Union
 
 from . import subspaces
 from .errors import DomainError, InsufficientData, LevelOutOfRange
+from .reporting import format_significant
 from .rigorous import RigorousReal
 from .subspaces import RationalSubspace
 
@@ -266,8 +267,6 @@ def theorem31_ratio(seq, i0: int) -> dict:
 def family_report(fam: SubspaceFamily, seq=None) -> dict:
     """JSON-ready family report: tables, bases, heights, identity checks,
     and the measured product ratios (12 significant digits)."""
-    from .reporting import format_significant
-
     def fmt(x) -> str:
         return format_significant(x, 12)
 

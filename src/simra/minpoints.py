@@ -57,6 +57,7 @@ from . import model, rigorous
 from .errors import (BeyondCertifiedRange, DependentCoordinates, DomainError,
                      EmptySet, PropertyViolated, SchemaError, TieUnresolved)
 from .model import ApproxSet, IntegerPoint, TargetPoint
+from .reporting import format_significant
 from .rigorous import RigorousReal
 
 _BASE_BITS = 64
@@ -682,6 +683,7 @@ class DirichletReport:
 
 def dirichlet_check(seq: MinimalPointSequence) -> DirichletReport:
     """Empirical sup of X_{i+1}^(1/n) * L_i, the uniform-approximation gauge."""
+    # local, so that enumerating minimal points need not load the interval layer
     from .ivcalc import frac_enclosure, iv_pow, midpoint_float, rig_interval, upper
 
     n = seq.target.n
@@ -710,9 +712,7 @@ def _csv_header(n: int) -> list[str]:
 
 def write_csv(seq: MinimalPointSequence, fileobj) -> None:
     """Deterministic CSV: i, x_0..x_n, normSq, X, L, log10X, neg_log10L."""
-    import csv
-
-    from .reporting import format_significant
+    import csv  # here, not at the top: the spectrum subcommands never load it
 
     w = csv.writer(fileobj, lineterminator="\n")
     w.writerow(_csv_header(seq.target.n))

@@ -18,7 +18,10 @@ integers on a dyadic interval whose certificate is the exact sign of its
 polynomial at the two ends; a rational root is recognized and kept exact.
 The working precision escalates by doubling, starting at 64 bits, up to the
 one precision cap of the package (precision_cap, read from
-SIMRA_PRECISION_CAP at each use; 4096 bits when unset).
+SIMRA_PRECISION_CAP at each use; 4096 bits when unset).  The cap bounds the
+precision asked of a handle; an expression evaluates its leaves with guard
+bits, doubling up to the first leaf precision at or past 4x the cap, so its
+leaves can be refined past the cap.
 """
 
 from __future__ import annotations
@@ -38,8 +41,10 @@ _START_BITS = 64
 
 def precision_cap() -> int:
     """The precision cap in bits: SIMRA_PRECISION_CAP, else 4096.  It bounds
-    every enclosure, refinement, comparison and sign, and the enumeration's
-    record comparator; DomainError unless it is an integer >= 64."""
+    the precision asked of every enclosure, refinement, comparison and sign,
+    and of the enumeration's record comparator; an expression evaluates its
+    leaves up to the first doubling at or past 4x the cap.  DomainError
+    unless it is an integer >= 64."""
     text = os.environ.get("SIMRA_PRECISION_CAP", "4096")
     try:
         bits = int(text)

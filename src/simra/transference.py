@@ -17,7 +17,9 @@ have exact rational exponents eps_k = 1 - alpha - alpha^2/beta - ... -
 alpha^(k+1)/beta^k; the module evaluates both the iterated and the closed
 form with certified enclosures and measures the empirical constants that the
 transference statements leave ineffective.  Values enter interval arithmetic
-through ivcalc.enclose alone, and the products come from one chain.
+through ivcalc: a rational through frac_enclosure, a RigorousReal through
+rig_interval, and a value of either kind through enclose; the products come
+from one chain.
 
 The extremal-sequence verifier checks the four structural conditions a
 near-equality profile forces on a subsequence of minimal points: two growth
@@ -41,6 +43,7 @@ from .errors import (BeyondCertifiedRange, DomainError, DomainTooShort,
 from .ivcalc import (Interval, enclose, frac_enclosure, iv_log, iv_pow, lower,
                      midpoint_float, rig_interval, upper)
 from .rigorous import RigorousReal
+from .subspaces import _int_det
 
 
 def _frac(v, name: str) -> Fraction:
@@ -577,8 +580,6 @@ def verify_extremal_sequence(points: Sequence, seq: minpoints.MinimalPointSequen
     beats each candidate, decided against seq's minimal points, which must
     cover the norm of every candidate (BeyondCertifiedRange otherwise).
     """
-    from .subspaces import _int_det
-
     target, approx_set = seq.target, seq.approx_set
     n = target.n
     pts = [model.IntegerPoint.canonical(p if not isinstance(p, model.IntegerPoint)

@@ -96,11 +96,48 @@ def test_bad_run_dir_error_json(tmp_path, capsys):
     assert err["error"]["type"] == "DomainError"
 
 
-def test_bad_xmax_error_json(tmp_path, capsys):
+@pytest.mark.parametrize("xmax, error", [
+    ("1/2", "DomainError"), ("abc", "SchemaError"), ("1/0", "SchemaError")])
+def test_bad_xmax_error_json(tmp_path, capsys, xmax, error):
     code, out = run_cli(capsys, "enumerate", "--preset", "sqrt2",
-                        "--xmax", "1/2", "--out", str(tmp_path / "r"))
+                        "--xmax", xmax, "--out", str(tmp_path / "r"))
     assert code == 1
-    assert json.loads(out)["error"]["type"] == "DomainError"
+    assert json.loads(out)["error"]["type"] == error
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["transfer", "--alpha", "1/0", "--beta", "3/5"],
+    ["extremal", "--alpha", "1/0", "--beta", "1", "--eps", "0", "--C", "1"],
+    ["exponents", "--tail", "half"],
+])
+def test_a_rational_flag_that_is_not_one_is_a_schema_error(sqrt2_run, capsys, argv):
+    code, out = run_cli(capsys, argv[0], "--run", str(sqrt2_run), *argv[1:])
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "SchemaError" and "is not a rational number" in err["message"]
+    assert list(json.loads(read(sqrt2_run / "manifest.json"))["files"]) == [
+        "minimal_points.csv"]
+
+
+def test_a_manifest_xmax_that_is_not_rational_is_a_schema_error(sqrt2_run, capsys):
+    rehash(sqrt2_run, xMax="x")
+    code, out = run_cli(capsys, "exponents", "--run", str(sqrt2_run))
+    assert code == 1
+    assert json.loads(out) == {"error": {
+        "type": "SchemaError", "message": "'x' is not a rational number"}}
+
+
+def test_an_internal_fault_is_not_reported_as_error_json(capsys, monkeypatch):
+    # main reports simra's own errors and OSError; any other exception is a
+    # fault of the program and propagates with its traceback
+    def fault(n):
+        raise ZeroDivisionError("a fault")
+
+    monkeypatch.setattr("simra.spectra.lambda_n", fault)
+    with pytest.raises(ZeroDivisionError):
+        main(["lambda-n", "--n", "2"])
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("cap", ["abc", "8"])
@@ -382,6 +419,41 @@ def test_analyze_golden_bytes(tmp_path, capsys, monkeypatch):
             key = f"analyze.{label}/run/{name}"
             got = hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
             assert got == want[key]["sha256"], key
+
+
+# what each command prints: a run command one line, a standalone command
+# without --out the bytes its --out file gets
+RUN_STDOUT = [
+    (["enumerate", "--preset", "cbrt2", "--xmax", "10000", "--out", "run"],
+     "11 minimal points -> run/minimal_points.csv\n"),
+    (["verify", "--run", "run"], "11 minimal points certified up to X = 10000\n"),
+    (["exponents", "--run", "run"],
+     "lambda_est 0.988167489174753  lambda_hat_est 0.452594080723817\n"),
+    (["construct", "--run", "run", "--i0", "0"],
+     "family at i0=0: indices [0, 2], identities pass\n"),
+    (["transfer", "--run", "run", "--alpha", "2/5", "--beta", "3/5"],
+     "sandwich holds on every envelope step up to X = 10000; empirical floor of "
+     "the top product 3.94800621394739\n"),
+    (["extremal", "--run", "run", "--alpha", "1", "--beta", "1", "--eps", "0",
+      "--C", "1"], "conditions FAIL (threshold ok: True)\n"),
+    (["plot", "--run", "run", "--what", "envelope"], "wrote run/envelope.svg\n"),
+    (["plot", "--run", "run", "--what", "frontier"], "wrote run/frontier.svg\n"),
+    (["lambda-n", "--n", "2"], "0.618033988749895\n"),
+]
+
+
+def test_every_subcommand_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv, want in RUN_STDOUT:
+        assert run_cli(capsys, *argv) == (0, want), argv
+    for argv in (["frontier", "--n", "3", "--grid", "11"],
+                 ["schmidt-fuzz", "--dim", "4", "--count", "50"],
+                 ["liouville", "--minpoly=-2,0,1", "--interval", "1,2",
+                  "--extra", "1.7320508075688772935", "--xmax", "500"]):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and out, argv
+        assert run_cli(capsys, *argv, "--out", "file.txt") == (0, ""), argv
+        assert read(tmp_path / "file.txt") == out, argv
 
 
 def test_liouville_subcommand(tmp_path, capsys):

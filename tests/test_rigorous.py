@@ -218,6 +218,19 @@ def test_compare_antisymmetry_random():
             assert xv > yv
 
 
+def test_an_expression_evaluates_its_leaves_past_the_cap(compute_calls, monkeypatch):
+    # the cap bounds what is asked of a handle, not of an expression's
+    # leaves: those are evaluated at doublings up to the first at or past
+    # 4x the cap, here 80, 160 and 320 bits under a 64-bit cap
+    monkeypatch.setenv("SIMRA_PRECISION_CAP", "64")
+    near = algebraic_root([-(2 * 10 ** 60 + 1), 0, 10 ** 60], (1, 2))  # sqrt(2 + 10^-60)
+    lo, hi, _ = enclosure((sqrt(2) - near) * 2 ** 200, 64)
+    assert [b for name, b in compute_calls if name == "_AlgebraicLeaf"] == [80, 160, 320]
+    # the leaves differ by about 2^-201, so 64 bits of the product need leaves
+    # past 264 bits
+    assert hi < 0 and hi - lo <= Fraction(1, 2 ** 64) * -hi
+
+
 def test_precision_cap_roundtrip(monkeypatch):
     monkeypatch.delenv("SIMRA_PRECISION_CAP", raising=False)
     assert rigorous.precision_cap() == 4096
