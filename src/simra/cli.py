@@ -12,6 +12,11 @@ subcommand gets the run's sequence and returns (artifact name, report,
 stdout line); any other returns its text or report.  `main` alone reads and
 writes run directories, serializes reports, and writes to --out or stdout.
 
+Dispatch: one table, `_SUBCOMMANDS`, lists each subcommand with its handler,
+summary and flags.  `main` builds the parser of the subcommand its first
+argument names, and the full parser only for --help, no argument, or an
+unknown name; help, errors and exit codes are the full parser's either way.
+
 All decimal output is fixed at 15 significant digits and dictionary keys are
 sorted, so identical flags give byte-identical files.  Module errors, and a
 numeric flag that is not a rational (SchemaError), exit nonzero after
@@ -363,79 +368,99 @@ def _cmd_plot(args, seq):
 # ---------------------------------------------------------------------------
 # parser and dispatch
 
-def _build_parser() -> argparse.ArgumentParser:
+_RUN = ("--run", {"required": True, "help": "run directory made by enumerate"})
+_OUT = ("--out", {"default": None})
+_N = ("--n", {"type": int, "required": True})
+
+
+def _rationals(*names):
+    return [(name, {"type": _rational, "required": True}) for name in names]
+
+
+# The subcommands in --help order: name -> (handler, summary, flags).  A flag
+# is its name and add_argument keywords, and a list of flags is a required
+# choice of one of them.  A handler of (args, seq) reads the run that --run
+# names.
+_SUBCOMMANDS = {
+    "enumerate": (_cmd_enumerate, "enumerate minimal points into a run directory", [
+        [("--config", {"help": "target configuration JSON file"}),
+         ("--preset", {"choices": presets.preset_names(), "help": "named built-in target"})],
+        ("--xmax", {"type": _rational, "required": True, "help": "norm bound (rational)"}),
+        ("--out", {"dest": "run_dir", "required": True, "help": "run directory to create"})]),
+    "exponents": (_cmd_exponents, "estimate the exponent pair from a run", [
+        _RUN, ("--tail", {"type": _rational, "default": "1/2",
+                          "help": "tail fraction of entries used"})]),
+    "construct": (_cmd_construct, "build and verify the subspace family at i0", [
+        _RUN, ("--i0", {"type": int, "required": True})]),
+    "transfer": (_cmd_transfer, "check a sandwich profile against a run", [
+        _RUN, *_rationals("--alpha", "--beta"),
+        ("--a", {"type": _rational, "help": "upper constant (fitted if omitted)"}),
+        ("--b", {"type": _rational, "help": "lower constant (fitted if omitted)"}),
+        ("--grid", {"type": int, "default": 64})]),
+    "extremal": (_cmd_extremal, "structural conditions on the run's points", [
+        _RUN, *_rationals("--alpha", "--beta", "--eps", "--C")]),
+    "verify": (_cmd_verify, "re-certify a run's minimal points up to its xMax", [_RUN]),
+    "frontier": (_cmd_frontier, "boundary curve CSV of the exponent spectrum", [
+        _N, ("--grid", {"type": int, "default": 101}), _OUT]),
+    "lambda-n": (_cmd_lambda_n, "spectrum corner value (CSV table with --out)", [_N, _OUT]),
+    "schmidt-fuzz": (_cmd_schmidt_fuzz, "randomized height-inequality stress report", [
+        ("--dim", {"type": int, "default": 5, "help": "max ambient dimension"}),
+        ("--count", {"type": int, "default": 1000}),
+        ("--seed", {"type": int, "default": 1}), _OUT]),
+    "liouville": (_cmd_liouville, "algebraic-plus-one preset report", [
+        ("--minpoly", {"required": True,
+                       "help": "comma-separated integer coefficients, low degree first"}),
+        ("--interval", {"required": True, "help": "root bracket 'lo,hi'"}),
+        ("--extra", {"required": True, "help": "decimal literal extra coordinate"}),
+        *_rationals("--xmax"), _OUT]),
+    "plot": (_cmd_plot, "SVG staircase or spectrum boundary for a run", [
+        _RUN, ("--what", {"choices": ("envelope", "frontier"), "required": True})]),
+}
+
+
+def _build_parser(names=_SUBCOMMANDS) -> argparse.ArgumentParser:
+    """The parser of the subcommands `names`, by default all of them."""
     p = argparse.ArgumentParser(
         prog="simra",
         description="minimal points, subspace heights, and exponent spectra "
                     "for simultaneous rational approximation")
-    sub = p.add_subparsers(dest="subcommand", required=True)
-
-    def on_run(name: str, func, summary: str) -> argparse.ArgumentParser:
+    # the usage line lists every subcommand, also when fewer have a parser;
+    # the full parser keeps argparse's default, under which its errors name
+    # the argument "subcommand"
+    every = "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = p.add_subparsers(dest="subcommand", required=True,
+                           metavar=None if len(names) == len(_SUBCOMMANDS) else every)
+    for name in names:
+        func, summary, flags = _SUBCOMMANDS[name]
         sp = sub.add_parser(name, help=summary)
-        sp.add_argument("--run", required=True, help="run directory made by enumerate")
+        for flag in flags:
+            if isinstance(flag, list):
+                group = sp.add_mutually_exclusive_group(required=True)
+                for f, kw in flag:
+                    group.add_argument(f, **kw)
+            else:
+                sp.add_argument(flag[0], **flag[1])
         sp.set_defaults(func=func)
-        return sp
-
-    e = sub.add_parser("enumerate", help="enumerate minimal points into a run directory")
-    g = e.add_mutually_exclusive_group(required=True)
-    g.add_argument("--config", help="target configuration JSON file")
-    g.add_argument("--preset", choices=presets.preset_names(),
-                   help="named built-in target")
-    e.add_argument("--xmax", type=_rational, required=True, help="norm bound (rational)")
-    e.add_argument("--out", dest="run_dir", required=True, help="run directory to create")
-    e.set_defaults(func=_cmd_enumerate)
-
-    x = on_run("exponents", _cmd_exponents, "estimate the exponent pair from a run")
-    x.add_argument("--tail", type=_rational, default="1/2",
-                   help="tail fraction of entries used")
-
-    c = on_run("construct", _cmd_construct, "build and verify the subspace family at i0")
-    c.add_argument("--i0", type=int, required=True)
-
-    t = on_run("transfer", _cmd_transfer, "check a sandwich profile against a run")
-    t.add_argument("--alpha", type=_rational, required=True)
-    t.add_argument("--beta", type=_rational, required=True)
-    t.add_argument("--a", type=_rational, help="upper constant (fitted if omitted)")
-    t.add_argument("--b", type=_rational, help="lower constant (fitted if omitted)")
-    t.add_argument("--grid", type=int, default=64)
-
-    ex = on_run("extremal", _cmd_extremal, "structural conditions on the run's points")
-    for flag in ("--alpha", "--beta", "--eps", "--C"):
-        ex.add_argument(flag, type=_rational, required=True)
-
-    on_run("verify", _cmd_verify, "re-certify a run's minimal points up to its xMax")
-
-    fr = sub.add_parser("frontier", help="boundary curve CSV of the exponent spectrum")
-    fr.add_argument("--n", type=int, required=True)
-    fr.add_argument("--grid", type=int, default=101)
-    fr.add_argument("--out", default=None)
-    fr.set_defaults(func=_cmd_frontier)
-
-    ln = sub.add_parser("lambda-n", help="spectrum corner value (CSV table with --out)")
-    ln.add_argument("--n", type=int, required=True)
-    ln.add_argument("--out", default=None)
-    ln.set_defaults(func=_cmd_lambda_n)
-
-    sf = sub.add_parser("schmidt-fuzz", help="randomized height-inequality stress report")
-    sf.add_argument("--dim", type=int, default=5, help="max ambient dimension")
-    sf.add_argument("--count", type=int, default=1000)
-    sf.add_argument("--seed", type=int, default=1)
-    sf.add_argument("--out", default=None)
-    sf.set_defaults(func=_cmd_schmidt_fuzz)
-
-    lv = sub.add_parser("liouville", help="algebraic-plus-one preset report")
-    lv.add_argument("--minpoly", required=True,
-                    help="comma-separated integer coefficients, low degree first")
-    lv.add_argument("--interval", required=True, help="root bracket 'lo,hi'")
-    lv.add_argument("--extra", required=True, help="decimal literal extra coordinate")
-    lv.add_argument("--xmax", type=_rational, required=True)
-    lv.add_argument("--out", default=None)
-    lv.set_defaults(func=_cmd_liouville)
-
-    pl = on_run("plot", _cmd_plot, "SVG staircase or spectrum boundary for a run")
-    pl.add_argument("--what", choices=("envelope", "frontier"), required=True)
-
     return p
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """argv parsed by the parser of its first word's subcommand alone, or by
+    the full parser when that word names none.
+
+    The parser's objects form reference cycles.  Built with the collector
+    paused, they all stay young, so one young collection frees them before
+    the command's peak memory; an automatic pass while building would move
+    some to the oldest generation, which only a full collection scans."""
+    names = argv[:1] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _build_parser(names).parse_args(argv)
+    finally:
+        gc.collect(1)
+        if enabled:
+            gc.enable()
 
 
 def _serialized(output) -> str:
@@ -444,11 +469,7 @@ def _serialized(output) -> str:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        # the parser is about 470 objects in reference cycles: collect them
-        # now, not at the collector's next pass, which may fall under the
-        # command's peak memory
-        gc.collect(1)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         if "run" in vars(args):
             seq, manifest = _load_run(args.run)
             name, report, line = args.func(args, seq)

@@ -111,13 +111,15 @@ def iv_log(x: Interval) -> Interval:
     return Interval(Fraction(y - err, 1 << p), Fraction(z + zerr, 1 << zp))
 
 
-def iv_pow(x: Interval, e) -> Interval:
+def iv_pow(x: Interval, e, log=iv_log) -> Interval:
     """x^e over the positive interval x for a rational e: the exact power
-    for an integer e, else exp(e log x) at the two ends of e log x."""
+    for an integer e, else exp(e log x) at the two ends of e log x, with
+    log x from `log` (a caller raising one x to several powers passes a
+    memo of iv_log)."""
     e = Fraction(e)
     if e.denominator == 1 and x.lo > 0:
         return Interval(*sorted((x.lo ** e.numerator, x.hi ** e.numerator)))
-    t = iv_log(x)  # refuses an x reaching down to 0
+    t = log(x)  # refuses an x reaching down to 0
     lo, hi = (t.lo, t.hi) if e > 0 else (t.hi, t.lo)
     return Interval(_exp(e, lo, -1), _exp(e, hi, 1))
 
@@ -142,8 +144,11 @@ def upper(v: Interval) -> float:
 
 
 def midpoint_float(v: Interval) -> float:
-    """The double nearest the exact midpoint of v."""
+    """The double nearest the exact midpoint of v: one correctly rounded
+    integer division, (a d + c b) / (2 b d) for v = [a/b, c/d]."""
+    a, b = v.lo.numerator, v.lo.denominator
+    c, d = v.hi.numerator, v.hi.denominator
     try:
-        return float((v.lo + v.hi) / 2)
+        return (a * d + c * b) / (2 * b * d)
     except OverflowError:
         raise DomainError("an enclosure midpoint exceeds the double range") from None

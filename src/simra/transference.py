@@ -19,7 +19,11 @@ form with certified enclosures and measures the empirical constants that the
 transference statements leave ineffective.  Values enter interval arithmetic
 through ivcalc: a rational through frac_enclosure, a RigorousReal through
 rig_interval, and a value of either kind through enclose; the products come
-from one chain.
+from one chain.  Each analysis takes the log of an enclosure once: a profile
+keeps the logs of the points it has evaluated at, so psi, phi and theta at
+one X, the closed forms, and theta's constant (a/b)^(-1/beta) share them,
+and the exponent estimates and growth conditions keep the logs of their
+norms and errors in a memo of the call.
 
 The extremal-sequence verifier checks the four structural conditions a
 near-equality profile forces on a subsequence of minimal points: two growth
@@ -33,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 from . import minpoints, model
@@ -121,13 +125,13 @@ def eps_threshold(alpha, beta, n: int) -> Fraction:
     return Fraction(1, 4 * n) * (alpha / beta) ** n * min(alpha, beta - alpha)
 
 
-def epsilon_delta(a, b, alpha, beta, n: int) -> dict:
+def epsilon_delta(a, b, alpha, beta, n: int, log=iv_log) -> dict:
     """Exact exponents and certified constants of the power-profile products.
 
     Returns eps = 1 - sum alpha^(k+1)/beta^k (exact), the full eps_k ladder,
     delta = the exponent of a/b in the top constant, and enclosures of the
-    constants c_k = a^(k+1) (a/b)^(delta_k).  Every parameter is a positive
-    rational.
+    constants c_k = a^(k+1) (a/b)^(delta_k), with log a/b from `log` (a
+    profile passes its memo).  Every parameter is a positive rational.
     """
     a, b = _frac(a, "a"), _frac(b, "b")
     alpha, beta = _frac(alpha, "alpha"), _frac(beta, "beta")
@@ -155,13 +159,24 @@ def epsilon_delta(a, b, alpha, beta, n: int) -> dict:
         "delta": delta_k[-1],
         "epsK": eps_k,
         "deltaK": delta_k,
-        "cK": [iv_pow(frac_enclosure(a), k + 1) * iv_pow(frac_enclosure(a / b), d)
+        "cK": [iv_pow(frac_enclosure(a), k + 1) * iv_pow(frac_enclosure(a / b), d, log)
                for k, d in enumerate(delta_k)],
     }
 
 
 # ---------------------------------------------------------------------------
 # profiles
+
+class _Logs(dict):
+    """iv_log of each enclosure, taken once per pair of ends."""
+
+    def __call__(self, x: Interval) -> Interval:
+        key = (x.lo, x.hi)
+        t = self.get(key)
+        if t is None:
+            t = self[key] = iv_log(x)
+        return t
+
 
 def _positive(x):
     """The enclosure of x, refused unless it lies above 0."""
@@ -199,20 +214,34 @@ class TransferenceProfile:
     def closed_form(self) -> dict:
         """epsilon_delta of the profile's parameters, computed once per
         profile: Phi_k(X) = c_k X^(eps_k) for every k."""
-        return epsilon_delta(self.a, self.b, self.alpha, self.beta, self.n)
+        return epsilon_delta(self.a, self.b, self.alpha, self.beta, self.n,
+                             self._log)
+
+    @cached_property
+    def _log(self) -> _Logs:
+        """The profile's logs, kept as long as the profile: psi, phi and
+        theta at one X, the iterates of theta and the closed forms take each
+        log once."""
+        return _Logs()
+
+    def _pow(self, x, e) -> Interval:
+        return iv_pow(x, e, self._log)
+
+    @cached_property
+    def _theta_scale(self) -> Interval:
+        return self._pow(frac_enclosure(self.a / self.b), -1 / self.beta)
 
     # -- pointwise evaluation, certified, for X > 0 ----------------------
 
     def phi(self, x):
-        return frac_enclosure(self.a) * iv_pow(_positive(x), -self.alpha)
+        return frac_enclosure(self.a) * self._pow(_positive(x), -self.alpha)
 
     def psi(self, x):
-        return frac_enclosure(self.b) * iv_pow(_positive(x), -self.beta)
+        return frac_enclosure(self.b) * self._pow(_positive(x), -self.beta)
 
     def theta(self, x):
         """The transfer map: the unique solution of psi(theta) = phi(X)."""
-        scale = iv_pow(frac_enclosure(self.a / self.b), -1 / self.beta)
-        return scale * iv_pow(_positive(x), self.alpha / self.beta)
+        return self._theta_scale * self._pow(_positive(x), self.alpha / self.beta)
 
 
 def _phi_chain(profile: TransferenceProfile, xi, k: int) -> list:
@@ -247,7 +276,7 @@ def _phi_products(profile: TransferenceProfile, x, k: int) -> list[dict]:
     out = []
     for j, phij in enumerate(_phi_chain(profile, xi, k)):
         big_phij = xi * phij
-        closed = ed["cK"][j] * iv_pow(xi, ed["epsK"][j])
+        closed = ed["cK"][j] * profile._pow(xi, ed["epsK"][j])
         if upper(big_phij) < lower(closed) or upper(closed) < lower(big_phij):
             raise DomainError(
                 "iterated and closed-form evaluations are certifiably "
@@ -273,8 +302,9 @@ class ExponentEstimate:
     uniform_series: list[float]
 
 
-def _half_log_norm_sq(norm_sq):
-    return iv_log(frac_enclosure(Fraction(norm_sq))) / 2
+def _half_logs(log: _Logs):
+    """norm_sq -> log X = (log norm_sq) / 2, each taken once through log."""
+    return cache(lambda norm_sq: log(frac_enclosure(Fraction(norm_sq))) / 2)
 
 
 def estimate_exponents_from_pairs(pairs: Sequence[tuple], n: int,
@@ -299,14 +329,16 @@ def estimate_exponents_from_pairs(pairs: Sequence[tuple], n: int,
     want = max(10, math.ceil(m * f))
     window = usable[-min(want, len(usable)):]
 
+    log = _Logs()
+    half_log = _half_logs(log)
     ords: list = []
     unis: list = []
     for i in window:
         norm_sq, l_val = pairs[i][0], pairs[i][1]
-        neg_log_l = -iv_log(enclose(l_val))
-        ords.append(neg_log_l / _half_log_norm_sq(norm_sq))
+        neg_log_l = -log(enclose(l_val))
+        ords.append(neg_log_l / half_log(norm_sq))
         if i + 1 < m:
-            unis.append(neg_log_l / _half_log_norm_sq(pairs[i + 1][0]))
+            unis.append(neg_log_l / half_log(pairs[i + 1][0]))
     if not unis:
         raise TooFewPoints("the tail window has no successor entries")
 
@@ -526,6 +558,8 @@ def growth_conditions(pairs: Sequence[tuple], alpha, beta, eps, big_c,
     exact_mode = eps == 0 and big_c == 0
     slack1 = 4 * eps * (beta / alpha) ** n
     slack2 = 4 * eps * (beta / alpha) ** 2
+    log = _Logs()  # shared by norms and errors: both may be 1
+    half_log = _half_logs(log)
 
     def _verdict(dev, bound) -> str:
         if upper(dev) <= lower(bound):
@@ -550,20 +584,20 @@ def growth_conditions(pairs: Sequence[tuple], alpha, beta, eps, big_c,
                 row["growth"] = ("pass" if y_next_sq ** (pa * qb)
                                  == y_sq ** (pb * qa) else "fail")
             else:
-                dev = abs(frac_enclosure(alpha) * _half_log_norm_sq(y_next_sq)
-                          - frac_enclosure(beta) * _half_log_norm_sq(y_sq))
+                dev = abs(frac_enclosure(alpha) * half_log(y_next_sq)
+                          - frac_enclosure(beta) * half_log(y_sq))
                 bound = (frac_enclosure(big_c)
-                         + frac_enclosure(slack1) * _half_log_norm_sq(y_next_sq))
+                         + frac_enclosure(slack1) * half_log(y_next_sq))
                 row["growth"] = _verdict(dev, bound)
         if exact_mode and l_rat is not None:
             pb, qb = beta.numerator, beta.denominator
             row["decay"] = ("pass" if Fraction(l_rat) ** (2 * qb)
                             * y_sq ** pb == 1 else "fail")
         else:
-            dev = abs(iv_log(enclose(l_val))
-                      + frac_enclosure(beta) * _half_log_norm_sq(y_sq))
+            dev = abs(log(enclose(l_val))
+                      + frac_enclosure(beta) * half_log(y_sq))
             bound = (frac_enclosure(big_c)
-                     + frac_enclosure(slack2) * _half_log_norm_sq(y_sq))
+                     + frac_enclosure(slack2) * half_log(y_sq))
             row["decay"] = _verdict(dev, bound)
         out.append(row)
     return out

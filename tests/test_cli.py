@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import simra
-from simra import presets
+from simra import cli, ivcalc, presets
 from simra.cli import main
 from simra.reporting import format_significant
 
@@ -288,6 +288,71 @@ def test_main_collects_its_parser(capsys):
     assert code == 0 and left == []
 
 
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(simra.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_main_frees_its_parser_with_the_collector_on():
+    # in a fresh process the collector's automatic passes while the parser
+    # is built must not move the parser out of reach of main's collection
+    script = """
+import argparse, gc
+from simra.cli import main
+assert main(["lambda-n", "--n", "2"]) == 0
+print(sum(isinstance(o, argparse.ArgumentParser) and o.prog.startswith("simra")
+          for o in gc.get_objects()))
+"""
+    out = subprocess.run([sys.executable, "-c", script], env=src_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["0.618033988749895", "0"]
+
+
+# each subcommand with its required flags, which parse without running it
+REQUIRED_FLAGS = {
+    "enumerate": ["--preset", "sqrt2", "--xmax", "30", "--out", "run"],
+    "exponents": ["--run", "run"],
+    "construct": ["--run", "run", "--i0", "0"],
+    "transfer": ["--run", "run", "--alpha", "2/5", "--beta", "3/5"],
+    "extremal": ["--run", "run", "--alpha", "1", "--beta", "1", "--eps", "0", "--C", "1"],
+    "verify": ["--run", "run"],
+    "frontier": ["--n", "3"],
+    "lambda-n": ["--n", "2"],
+    "schmidt-fuzz": [],
+    "liouville": ["--minpoly=-2,0,1", "--interval", "1,2", "--extra", "1.7", "--xmax", "9"],
+    "plot": ["--run", "run", "--what", "envelope"],
+}
+
+
+def exit_of(capsys, parse):
+    with pytest.raises(SystemExit) as exc:
+        parse()
+    out, err = capsys.readouterr()
+    return out, err, exc.value.code
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(argv, id=name) for name, argv in
+    [("simra", []), ("help", ["--help"]), ("nosuch", ["nosuch"])]
+    + [(f"{cmd}-{what}", [cmd, *tail]) for cmd, flags in REQUIRED_FLAGS.items()
+       for what, tail in (("help", ["--help"]), ("bogus", [*flags, "--bogus"]))]])
+def test_each_command_line_parses_as_under_the_full_parser(capsys, argv):
+    # main builds the parser of argv[0]'s subcommand alone; its help and
+    # errors are the full parser's, and its usage line names every subcommand
+    assert list(REQUIRED_FLAGS) == list(cli._SUBCOMMANDS)
+    got = exit_of(capsys, lambda: main(argv))
+    assert got == exit_of(capsys, lambda: cli._build_parser().parse_args(argv))
+    out, err, code = got
+    assert code == (0 if "--help" in argv else 2)
+    if argv[-1:] == ["--bogus"]:
+        assert err.endswith("simra: error: unrecognized arguments: --bogus\n")
+        assert "{" + ",".join(REQUIRED_FLAGS) + "}" in err.replace("\n", "")
+
+
 def test_lambda_n_csv(tmp_path, capsys):
     path = tmp_path / "corners.csv"
     code, _ = run_cli(capsys, "lambda-n", "--n", "6", "--out", str(path))
@@ -428,6 +493,33 @@ def test_analyze_golden_bytes(tmp_path, capsys, monkeypatch):
             assert got == want[key]["sha256"], key
 
 
+@pytest.fixture(scope="module")
+def cubic_run_1e4(tmp_path_factory):
+    run = tmp_path_factory.mktemp("cubic") / "run"
+    assert main(["enumerate", "--preset", "cbrt2", "--xmax", "10000",
+                 "--out", str(run)]) == 0
+    return run
+
+
+@pytest.mark.parametrize("argv", [
+    ["exponents"],
+    ["transfer", "--alpha", "2/5", "--beta", "3/5"],
+    ["extremal", "--alpha", "1", "--beta", "1", "--eps", "0", "--C", "1"],
+], ids=lambda argv: argv[0])
+def test_an_analysis_takes_each_log_once(cubic_run_1e4, monkeypatch, capsys, argv):
+    # psi, phi and theta at one X, the closed forms, and each norm share a log
+    args = []
+    real = ivcalc._log
+
+    def counted(q):
+        args.append(q)
+        return real(q)
+
+    monkeypatch.setattr(ivcalc, "_log", counted)
+    assert run_cli(capsys, *argv, "--run", str(cubic_run_1e4))[0] == 0
+    assert len(args) > 20 and len(args) == len(set(args))
+
+
 # what each command prints: a run command one line, a standalone command
 # without --out the bytes its --out file gets
 RUN_STDOUT = [
@@ -564,12 +656,9 @@ def test_entry_point_subprocess():
 
 
 def test_package_runs_as_a_module():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(simra.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-m", "simra", "lambda-n", "--n", "2"],
-        capture_output=True, text=True, timeout=120, env=env)
+        capture_output=True, text=True, timeout=120, env=src_env())
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "0.618033988749895"
 

@@ -105,6 +105,29 @@ def test_float_endpoints_stay_bounds_past_the_double_range():
     assert midpoint_float(frac_enclosure(Fraction(top))) == top
 
 
+def test_midpoint_float_is_the_rounded_fraction_midpoint():
+    # ends from 2^-1100 to 2^1100 in size: subnormal, overflowing, and every
+    # rounding in between
+    rng = random.Random(27)
+
+    def end():
+        num = rng.getrandbits(rng.randint(1, 1100)) * rng.choice((-1, 1))
+        return Fraction(num, rng.getrandbits(rng.randint(1, 1100)) + 1)
+
+    overflows = 0
+    for _ in range(10_000):
+        v = Interval(*sorted((end(), end())))
+        try:
+            want = float((v.lo + v.hi) / 2)
+        except OverflowError:
+            overflows += 1
+            with pytest.raises(DomainError, match="exceeds the double range"):
+                midpoint_float(v)
+        else:
+            assert midpoint_float(v) == want, v
+    assert overflows > 20
+
+
 # -- log, exp and rational powers against decimal -------------------------------
 
 def _dec(q: Fraction) -> decimal.Decimal:
