@@ -11,13 +11,13 @@ point of smallest norm achieving the minimal L among nonzero members of S of
 that norm, ties in norm broken lexicographically.
 
 The fast enumerator takes the members of S in the smallest ball of radius
-1, 2, 4, ... that holds one, then scans x_0 = 0, 1, ...: at each x_0 the
-current record bounds every x_k to a window around (xi_k/xi_0) x_0 outside
-which a point is certifiably worse than the record, and the set lists its
-own members in those windows (ApproxSet.box_members).  Every approximation
-set takes this one path: S answers every question about itself
-(check_ambient, member, box_members), and nothing here branches on its
-kind.
+1, 2, 4, ... that holds one, then scans the x_0 = offset, offset + step,
+... that S admits: at each x_0 the current record bounds every x_k to a
+window around (xi_k/xi_0) x_0 outside which a point is certifiably worse
+than the record, and the set lists its own members in those windows
+(ApproxSet.box_members).  Every approximation set takes this one path: S
+answers every question about itself (check_ambient, member, box_members,
+x0_progression), and nothing here branches on its kind.
 
 Two independent oracles are kept, and both ask S only member: a literal
 scan of every canonical point of Z^(n+1) (small X only), and a windowed
@@ -400,7 +400,9 @@ def _scan_entries(target: TargetPoint, comparator: _Comparator, approx_set: Appr
                   norm_sq_max: int, entries: list[MinimalPointEntry],
                   bound_sq: int) -> None:
     """Extend the start records, complete up to squared norm bound_sq, to
-    norm_sq_max by scanning x_0 = 0, 1, ... through the record windows.
+    norm_sq_max by scanning through the record windows the x_0 = offset,
+    offset + step, ... that S admits (ApproxSet.x0_progression); no other
+    x_0 holds a member.
 
     With rec_hi the record's bound and [r_lo, r_hi] / 2^64 enclosing
     xi_k/xi_0, a point at x_0 whose x_k lies outside
@@ -411,35 +413,38 @@ def _scan_entries(target: TargetPoint, comparator: _Comparator, approx_set: Appr
     is strictly worse than the record; records only improve, so a point left
     out stays out.  Candidates at x_0 have norm >= x_0^2, so when the scan
     reaches x_0 every heap group below x_0^2 is complete; the sweep runs
-    only when the heap holds such a group, and the windows come from the
-    freshest record.
+    only from sweep_at, the first x_0 whose square exceeds the heap's
+    least norm, and the windows come from the freshest record.
 
-    Most x_0 have an empty axis-1 window, so its numerators are kept as
-    running integers: neg_lo = rec_hi - r_lo x_0 and hi = r_hi x_0 + rec_hi
-    step by -r_lo and +r_hi per x_0 and are recomputed only when a sweep
-    changes the record.  The window is nonempty exactly when
-    (hi >> 64) + (neg_lo >> 64) >= 0, and only then are the other axes
-    sized and the set asked for its members in the windows.  The heap
-    holds only canonical members, and the processing order (hence the
-    result) matches a single sweep of all members sorted by (norm,
-    coordinates).
+    Most x_0 have an empty axis-1 window, so it is tested in residue form:
+    with h = (r_hi x_0 + rec_hi) mod 2^64 and w = 2 rec_hi + (r_hi - r_lo)
+    x_0, the width between the two ends' numerators, the window is nonempty
+    exactly when h <= w (always once w >= 2^64).  Both step by addition
+    and are recomputed only when a sweep changes the record; only on a
+    nonempty window are the axes sized and the set asked for its members
+    in the windows.  The heap holds only canonical members, and the
+    processing order (hence the result) matches a single sweep of all
+    members sorted by (norm, coordinates).
     """
-    (r_lo, r_hi), *rest = comparator.ratio_snap
+    r_lo, r_hi = comparator.ratio_snap[0]
+    mask, width = (1 << _BASE_BITS) - 1, r_hi - r_lo
+    offset, step = approx_set.x0_progression()
+    end = isqrt(norm_sq_max) + 1
+    h_step, w_step = r_hi * step & mask, width * step
     zero = (0,) * (comparator.n + 1)
     heap: list = []
-    record = entries[-1]
-    rec_hi = _record_bound(comparator, record.point.coords)
-    neg_lo = hi = rec_hi
-    for x0 in range(isqrt(norm_sq_max) + 1):
-        if heap and heap[0][0] < x0 * x0:
+    record, sweep_at = None, offset  # the first x_0 takes up the start record
+    for x0 in range(offset, end, step):
+        if x0 >= sweep_at:
             _sweep_below(target, heap, x0 * x0, entries, comparator)
+            sweep_at = isqrt(heap[0][0]) + 1 if heap else end
             if entries[-1] is not record:
                 record = entries[-1]
                 rec_hi = _record_bound(comparator, record.point.coords)
-                neg_lo, hi = rec_hi - r_lo * x0, r_hi * x0 + rec_hi
-        if (hi >> _BASE_BITS) + (neg_lo >> _BASE_BITS) >= 0:
-            windows = [(-(neg_lo >> _BASE_BITS), hi >> _BASE_BITS)]
-            for rlo, rhi in rest:
+                h, w = (r_hi * x0 + rec_hi) & mask, 2 * rec_hi + width * x0
+        if h <= w:
+            windows = []
+            for rlo, rhi in comparator.ratio_snap:
                 lo_k = -((rec_hi - rlo * x0) >> _BASE_BITS)
                 hi_k = (rhi * x0 + rec_hi) >> _BASE_BITS
                 if lo_k > hi_k:
@@ -450,8 +455,9 @@ def _scan_entries(target: TargetPoint, comparator: _Comparator, approx_set: Appr
                     # c > zero: canonical, which only x_0 = 0 can fail
                     if c > zero and bound_sq < (ns := sum(v * v for v in c)) <= norm_sq_max:
                         heapq.heappush(heap, (ns, c))
-        neg_lo -= r_lo
-        hi += r_hi
+                        sweep_at = min(sweep_at, isqrt(ns) + 1)
+        h = (h + h_step) & mask
+        w += w_step
     _sweep_below(target, heap, math.inf, entries, comparator)
 
 

@@ -13,6 +13,7 @@ with is built in minpoints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -52,10 +53,16 @@ class IntegerPoint:
 class ApproxSet:
     """Base class for the sets of integer points allowed to approximate: a
     product of per-coordinate conditions allowed(index, value), unless a
-    subclass overrides member and box_members."""
+    subclass overrides member and box_members.  x0_progression names an
+    arithmetic progression that holds the x_0 of every member, so that a
+    scan over x_0 may skip the rest; the base class gives every integer."""
 
     def allowed(self, index: int, value: int) -> bool:
         return True
+
+    def x0_progression(self) -> tuple[int, int]:
+        """(offset, step): every member has x_0 = offset (mod step)."""
+        return 0, 1
 
     def member(self, coords: Sequence[int]) -> bool:
         return all(self.allowed(i, v) for i, v in enumerate(coords))
@@ -104,6 +111,15 @@ class CongruenceSet(ApproxSet):
     def allowed(self, index: int, value: int) -> bool:
         rs = self.residues.get(index)
         return rs is None or (value % self.modulus) in rs
+
+    def x0_progression(self) -> tuple[int, int]:
+        """The step is gcd(m, r - r_0 for the x_0 residues r)."""
+        rs = self.residues.get(0)
+        if rs is None:
+            return 0, 1
+        r0 = min(rs)
+        step = math.gcd(self.modulus, *(r - r0 for r in rs))
+        return r0 % step, step
 
     def check_ambient(self, dim: int) -> None:
         for k in self.residues:
@@ -154,6 +170,12 @@ class Sublattice(ApproxSet):
             acc = [a - c * b for a, b in zip(acc, row)]
             col = p + 1
         return not any(acc[col:])
+
+    def x0_progression(self) -> tuple[int, int]:
+        """(0, d) when the first Hermite row has its pivot d in column 0:
+        the other rows are 0 there."""
+        p, row = self._echelon[0]
+        return (0, row[0]) if p == 0 else (0, 1)
 
     def check_ambient(self, dim: int) -> None:
         if self.ambient != dim:

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -727,3 +728,177 @@ def test_scan_sweeps_per_record_not_per_x0(sqrt2, monkeypatch):
     monkeypatch.setattr(minpoints, "_sweep_below", counted)
     seq = enumerate_minimal_points(target, approx, 10 ** 5)
     assert len(seq) == 14 and calls <= 3 * len(seq)
+
+
+def _scan_entries_per_x0(target, comparator, approx_set, norm_sq_max, entries, bound_sq):
+    """The scan as it stood before the residue walk, kept as the reference:
+    every x_0 from 0, a heap check at each, and the axis-1 window tested by
+    shifting its two running numerators."""
+    bits = minpoints._BASE_BITS
+    (r_lo, r_hi), *rest = comparator.ratio_snap
+    zero = (0,) * (comparator.n + 1)
+    heap = []
+    record = entries[-1]
+    rec_hi = minpoints._record_bound(comparator, record.point.coords)
+    neg_lo = hi = rec_hi
+    for x0 in range(math.isqrt(norm_sq_max) + 1):
+        if heap and heap[0][0] < x0 * x0:
+            minpoints._sweep_below(target, heap, x0 * x0, entries, comparator)
+            if entries[-1] is not record:
+                record = entries[-1]
+                rec_hi = minpoints._record_bound(comparator, record.point.coords)
+                neg_lo, hi = rec_hi - r_lo * x0, r_hi * x0 + rec_hi
+        if (hi >> bits) + (neg_lo >> bits) >= 0:
+            windows = [(-(neg_lo >> bits), hi >> bits)]
+            for rlo, rhi in rest:
+                lo_k = -((rec_hi - rlo * x0) >> bits)
+                hi_k = (rhi * x0 + rec_hi) >> bits
+                if lo_k > hi_k:
+                    break
+                windows.append((lo_k, hi_k))
+            else:
+                for c in approx_set.box_members(x0, windows):
+                    if c > zero and bound_sq < (ns := sum(v * v for v in c)) <= norm_sq_max:
+                        minpoints.heapq.heappush(heap, (ns, c))
+        neg_lo -= r_lo
+        hi += r_hi
+    minpoints._sweep_below(target, heap, math.inf, entries, comparator)
+
+
+def test_residue_test_is_the_shift_test():
+    # hi + neg_lo = w >= 0, so floor(hi / 2^64) + floor(neg_lo / 2^64) =
+    # floor((w - h) / 2^64) with h = hi mod 2^64 < 2^64: >= 0 iff h <= w
+    rng = random.Random(28)
+    one = 1 << 64
+    kinds = {"wide": 0, "negative neg_lo": 0, "empty": 0}
+    for _ in range(20_000):
+        rec_hi = rng.choice([rng.randrange(1 << 8), rng.randrange(1 << 40),
+                             rng.randrange(one), rng.randrange(4 * one)])
+        r_lo = rng.randrange(-4 * one, 4 * one)
+        r_hi = r_lo + rng.choice([0, 1, 2, rng.randrange(1 << 20), rng.randrange(one)])
+        x0 = rng.choice([rng.randrange(100), rng.randrange(10 ** 7), rng.randrange(10 ** 30)])
+        neg_lo, hi = rec_hi - r_lo * x0, r_hi * x0 + rec_hi
+        h, w = hi % one, 2 * rec_hi + (r_hi - r_lo) * x0
+        shift = (hi >> 64) + (neg_lo >> 64) >= 0
+        assert shift == (w >= one or h <= w) == (h <= w), (rec_hi, r_lo, r_hi, x0)
+        assert h == hi & (one - 1)
+        kinds["wide"] += w >= one
+        kinds["negative neg_lo"] += neg_lo < 0
+        kinds["empty"] += not shift
+    assert all(kinds.values()), kinds
+
+
+class _BoxRecorder:
+    """S, recording the x_0 at which its members are asked for."""
+
+    def __init__(self, approx):
+        self.approx, self.x0s = approx, []
+
+    def x0_progression(self):
+        return self.approx.x0_progression()
+
+    def box_members(self, x0, windows):
+        self.x0s.append(x0)
+        return self.approx.box_members(x0, windows)
+
+
+def _scan_visits(scan, monkeypatch, target, approx, x_max):
+    """The points of the enumeration with scan as its x_0 scan, and the x_0
+    at which the scan asked S for members."""
+    recorder = _BoxRecorder(approx)
+    monkeypatch.setattr(minpoints, "_scan_entries",
+                        lambda t, c, s, *rest: scan(t, c, recorder, *rest))
+    points = enumerate_minimal_points(target, approx, x_max).points()
+    return points, recorder.x0s
+
+
+@pytest.mark.parametrize("name, x_max", [
+    ("sqrt2", 5000), ("cbrt2", 2000), ("sqrt2-even-x0", 5000), ("sublattice", 5000),
+])
+def test_residue_walk_visits_the_x0_of_the_per_x0_scan(name, x_max, monkeypatch):
+    # the walk asks S at exactly the x_0 of the reference that S admits, and
+    # the reference's other x_0 hold no member
+    if name == "sublattice":
+        target, approx = presets.load_preset("sqrt2")[0], model.Sublattice([(2, 1), (0, 3)])
+    else:
+        target, approx = presets.load_preset(name)
+    scan = minpoints._scan_entries
+    want, before = _scan_visits(_scan_entries_per_x0, monkeypatch, target, approx, x_max)
+    got, after = _scan_visits(scan, monkeypatch, target, approx, x_max)
+    offset, step = approx.x0_progression()
+    assert got == want and len(after) > 5
+    assert after == [x0 for x0 in before if x0 % step == offset]
+    assert not [c for x0 in before if x0 % step != offset
+                for c in approx.box_members(x0, [(-10 ** 6, 10 ** 6)] * target.n)]
+    assert (step > 1) == (len(after) < len(before))
+
+
+def _bench_sublattice_family():
+    """SUBLATTICE_FAMILY of bench/workloads.py, the certify workload's bases."""
+    import importlib.util
+    import sys
+
+    path = os.path.join(os.path.dirname(__file__), "..", "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.SUBLATTICE_FAMILY
+
+
+# (S, whether its x_0 classes form one progression, so the step is exact)
+PROGRESSION_SETS = [
+    (model.FullLattice(), True),
+    (model.CongruenceSet(2, {0: [0]}), True),
+    (model.CongruenceSet(3, {0: [2], 1: [1]}), True),
+    (model.CongruenceSet(4, {0: [1, 3]}), True),
+    (model.CongruenceSet(3, {0: [0, 1]}), False),
+    (model.CongruenceSet(6, {0: [1, 5]}), False),
+    (model.CongruenceSet(5, {1: [2]}), True),
+    *[(model.Sublattice(b), True) for b in _bench_sublattice_family()],
+    (model.Sublattice([(0, 5), (7, 0)]), True),
+    (model.Sublattice([(0, 1, 2), (0, 0, 3)]), False),  # no pivot in column 0
+]
+
+
+@pytest.mark.parametrize("approx, exact", PROGRESSION_SETS, ids=repr)
+def test_x0_progression_holds_every_member(approx, exact):
+    offset, step = approx.x0_progression()
+    assert 0 <= offset < step
+    dim = approx.ambient if isinstance(approx, model.Sublattice) else 2
+    box = range(-12, 13)
+    rest = list(itertools.product(box, repeat=dim - 1))
+    x0s = {x0 for x0 in box if any(approx.member((x0, *c)) for c in rest)}
+    assert x0s and all(x0 % step == offset for x0 in x0s)
+    assert (x0s == {x0 for x0 in box if x0 % step == offset}) == exact
+
+
+NEGATIVE_XI0_CUBIC = model.TargetPoint([
+    rational(-1), rigorous.algebraic_root([-2, 0, 0, 1], (1, 2)),
+    rigorous.algebraic_root([-4, 0, 0, 1], (1, 2))])
+SKIPPING_SETS = {
+    "x0 = 2 mod 3": (model.CongruenceSet(3, {0: [2]}), 1),
+    "x0 odd": (model.CongruenceSet(2, {0: [1]}), 1),
+    "[[3,1],[0,2]]": (model.Sublattice([(3, 1), (0, 2)]), 1),
+    "[[0,5],[7,0]]": (model.Sublattice([(0, 5), (7, 0)]), 1),
+    "n = 2, xi_0 < 0": (model.CongruenceSet(3, {0: [1], 2: [0, 2]}), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SKIPPING_SETS))
+def test_skipping_scan_matches_both_oracles(name, sqrt2):
+    approx, n = SKIPPING_SETS[name]
+    offset, step = approx.x0_progression()
+    assert offset != 0 or step >= 3
+    target = sqrt2[0] if n == 1 else NEGATIVE_XI0_CUBIC
+    small = 60 if n == 1 else 25
+    fast = enumerate_minimal_points(target, approx, small)
+    assert brute_force_reference(target, approx, small).points() == fast.points()
+    assert exhaustive_scan(target, approx, small).points() == fast.points()
+    for x_max in (300, 2000):
+        fast = enumerate_minimal_points(target, approx, x_max)
+        assert len(fast) >= 3
+        assert exhaustive_scan(target, approx, x_max).points() == fast.points()
+        verify_properties(fast)
